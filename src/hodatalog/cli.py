@@ -16,7 +16,7 @@ from .codegen import compile_tm_first_order, compile_tm_higher_order, emit_hodl
 from .core import HodlError, expk
 from .encode import ALPHABET, encode_input, merge
 from .engines import (BudgetExhaustedError, DemandEngine, EngineConfig,
-                      least_model_seminaive)
+                      decide, least_model_seminaive)
 from .semantics import Bool, dump_model, least_model_naive
 from .syntax import parse_program
 from .tm import parse_tm, tm_run
@@ -93,19 +93,12 @@ def cmd_check(args):
 
 
 def cmd_run(args):
-    prog = _merged(args.file, args.input)
+    prog = _merged(args.file, None)
     cfg = EngineConfig(engine=args.engine, step_budget=args.budget,
                        domain_cap=args.cap, trace=args.trace)
-    if args.engine == "demand":
-        accept = DemandEngine(prog, cfg).solve(Pred("accept"))
-    elif args.engine == "seminaive":
-        res = least_model_seminaive(prog)
-        accept = res.interpretation.get("accept", Bool(False)) == Bool(True)
-    else:
-        res = least_model_naive(prog, cap=args.cap)
-        accept = res.interpretation.get("accept", Bool(False)) == Bool(True)
-    print("accept" if accept else "reject")
-    return EXIT_ACCEPT if accept else EXIT_REJECT
+    verdict = decide(prog, args.input, cfg)
+    print(verdict)
+    return EXIT_ACCEPT if verdict == "accept" else EXIT_REJECT
 
 
 def cmd_model(args):
@@ -158,7 +151,7 @@ def crosscheck_row(prog, machine, w, k, d, budget):
     merged = merge(prog, encode_input(w))
     cfg = EngineConfig(step_budget=budget)
     if k == 1:
-        res = least_model_seminaive(merged)
+        res = least_model_seminaive(merged, cfg)
         accept = res.interpretation.get("accept", Bool(False)) == Bool(True)
         steps = res.iterations
     else:

@@ -1,7 +1,12 @@
 """Production evaluation engines.
 
 * least_model_seminaive: delta-driven bottom-up evaluation for first-order
-  programs (all relations over individuals).
+  programs (all relations over individuals).  Each rule body is compiled,
+  once per call and once per delta focus, into a static join plan whose
+  steps read and write a list of variable slots.  Probes go through one
+  hash index per (predicate, bound positions), built the first time a plan
+  needs it and extended with every round's new tuples; a probe that binds
+  every position tests the relation itself.
 * DemandEngine / solve_demand: demand-driven tabled evaluation for
   higher-order programs.  Ground goals are memoized by their canonical
   syntactic form; the table is driven to a least fixpoint by propagating
@@ -14,10 +19,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (App, Const, Eq, HodlError, OMICRON, Pred, Var, app_spine,
-                   arg_types, make_app, type_order)
+                   type_order)
 from .encode import encode_input, merge
 from .semantics import Bool, FixpointResult, Ind, Rel, herbrand_universe
 from .syntax import render_expr
@@ -34,28 +40,9 @@ class EngineError(HodlError):
 @dataclass
 class EngineConfig:
     engine: str = "demand"  # naive | seminaive | demand
-    step_budget: int = 10 ** 7
+    step_budget: int = 10 ** 7  # demand: goal runs; seminaive: derivations
     domain_cap: int = 1 << 16
     trace: bool = False
-
-
-@dataclass(frozen=True)
-class Goal:
-    """A ground atom: predicate (or closure) head plus argument terms."""
-    head: object
-    args: tuple
-
-    def to_expr(self):
-        h = Pred(self.head) if isinstance(self.head, str) else self.head
-        return make_app(h, list(self.args))
-
-    @staticmethod
-    def from_expr(e):
-        h, args = app_spine(e)
-        return Goal(h.name if isinstance(h, Pred) else h, tuple(args))
-
-    def key(self):
-        return render_expr(self.to_expr())
 
 
 # ---------------------------------------------------------------------------
@@ -78,184 +65,334 @@ def _term(e):
     raise EngineError("nested application in first-order atom argument")
 
 
-def _match_tuple(args, tup, subst):
-    s = subst
-    copied = False
-    for t, val in zip(args, tup):
-        if t[0] == "c":
-            if t[1] != val:
-                return None
-        else:
-            bound = s.get(t[1])
-            if bound is None:
-                if not copied:
-                    s = dict(s)
-                    copied = True
-                s[t[1]] = val
-            elif bound != val:
-                return None
-    return s
+def _tuple_of(slots):
+    """Function reading the given positions of a sequence as a tuple."""
+    if not slots:
+        return lambda seq: ()
+    if len(slots) == 1:
+        s = slots[0]
+        return lambda seq: (seq[s],)
+    return itemgetter(*slots)
 
 
-class _Matcher:
-    """Relations of one evaluation round with lazy per-position indexes."""
+class _Slots:
+    """Slot numbers of one rule's constants and variables.
 
-    def __init__(self, rels, universe):
-        self.rels = rels
-        self.universe = universe
-        self.indexes = {}
-
-    def candidates(self, name, args, subst):
-        rel = self.rels.get(name, ())
-        # index on the first bound argument position, if any
-        for pos, t in enumerate(args):
-            val = t[1] if t[0] == "c" else subst.get(t[1])
-            if val is not None:
-                idx = self.indexes.setdefault((name, pos), None)
-                if idx is None:
-                    idx = {}
-                    for tup in rel:
-                        idx.setdefault(tup[pos], []).append(tup)
-                    self.indexes[(name, pos)] = idx
-                return idx.get(val, ())
-        return rel
-
-
-def _solve_body(atoms, subst, matcher):
-    """Yield substitutions satisfying the remaining atoms.
-
-    atoms is a list of (atom, override) where a non-None override is an
-    explicit tuple collection to scan instead of the full relation
-    (the semi-naive delta focus, always placed first by the caller).
+    Constants take the first slots, filled in before any step runs; a
+    variable takes the next free slot when a step binds it, so the slots
+    one step writes are consecutive.
     """
-    if not atoms:
-        yield subst
-        return
-    # selection: delta focus first, then decidable equalities, then the
-    # most-bound positive atom
-    pick = None
-    best_bound = -1
-    for i, (atom, override) in enumerate(atoms):
-        if override is not None:
-            pick = i
-            break
-        if atom[0] == "eq":
-            l, r = atom[1], atom[2]
-            lb = l[0] == "c" or l[1] in subst
-            rb = r[0] == "c" or r[1] in subst
-            if lb or rb:
-                pick = i
-                break
-        else:
-            bound = sum(1 for t in atom[2]
-                        if t[0] == "c" or t[1] in subst)
-            if bound > best_bound:
-                best_bound = bound
-                pick = i
-    if pick is None:
-        # only equalities with both sides unbound remain: enumerate one side
-        atom = atoms[0][0]
-        for c in matcher.universe:
-            s = dict(subst)
-            s[atom[1][1]] = c
-            yield from _solve_body(atoms, s, matcher)
-        return
-    atom, override = atoms[pick]
-    rest = atoms[:pick] + atoms[pick + 1:]
-    if atom[0] == "eq":
-        l, r = atom[1], atom[2]
-        lv = l[1] if l[0] == "c" else subst.get(l[1])
-        rv = r[1] if r[0] == "c" else subst.get(r[1])
-        if lv is not None and rv is not None:
-            if lv == rv:
-                yield from _solve_body(rest, subst, matcher)
-            return
-        s = dict(subst)
-        if lv is None:
-            s[l[1]] = rv
-        else:
-            s[r[1]] = lv
-        yield from _solve_body(rest, s, matcher)
-        return
+
+    def __init__(self, atoms):
+        self.template = []
+        self.of = {}
+        for atom in atoms:
+            for t in (atom[1:] if atom[0] == "eq" else atom[2]):
+                if t[0] == "c" and t not in self.of:
+                    self.of[t] = len(self.template)
+                    self.template.append(t[1])
+
+    def known(self, term):
+        return term in self.of
+
+    def fresh(self, term=None):
+        slot = len(self.template)
+        self.template.append(None)
+        if term is not None:
+            self.of[term] = slot
+        return slot
+
+
+def _match_step(kind, atom, slots):
+    """A step reading the rows of one relation:
+    (kind, pred, key positions, key slots, output positions, first output
+    slot, checks).
+
+    Outside the delta focus, the positions holding a constant or an
+    already bound variable form the probe key.  Every other position is
+    written to the next slot.  The first occurrence of a variable makes
+    that slot the variable's; a repeated variable, or a constant in the
+    focus, adds a check that the slot equals the one it must match.
+    """
     name, args = atom[1], atom[2]
-    if override is not None:
-        rel = override
-    else:
-        rel = matcher.candidates(name, args, subst)
-    for tup in rel:
-        s = _match_tuple(args, tup, subst)
-        if s is not None:
-            yield from _solve_body(rest, s, matcher)
+    key_pos, key_slots = [], []
+    if kind != "delta":
+        for pos, t in enumerate(args):
+            if slots.known(t):
+                key_pos.append(pos)
+                key_slots.append(slots.of[t])
+    lo = len(slots.template)
+    out_pos, checks = [], []
+    for pos, t in enumerate(args):
+        if pos in key_pos:
+            continue
+        out_pos.append(pos)
+        if slots.known(t):
+            checks.append((slots.of[t], slots.fresh()))
+        else:
+            slots.fresh(t)
+    if kind != "delta":
+        if not out_pos:
+            kind = "member"
+        elif not key_pos:
+            kind = "scan"
+    return (kind, name, tuple(key_pos), key_slots, out_pos, lo, checks)
 
 
-def _heads_from(rule, subst, universe):
-    head, formals = rule
-    unbound = [f for f in formals if f not in subst]
-    for assignment in itertools.product(universe, repeat=len(unbound)):
-        s = dict(subst)
-        s.update(zip(unbound, assignment))
-        yield tuple(s[f] for f in formals)
+def _plan(atoms, focus, formals, slots):
+    """Static join order for one rule body, led by the delta focus atom
+    `focus` (None for bodies without positive atoms).
+
+    After the focus come equalities with a known side, then the atom with
+    the most bound positions; when only equalities with both sides unbound
+    remain, the left variable of the first one is enumerated over the
+    universe.  Which positions are bound depends only on the earlier
+    steps, never on tuple values, so the order is fixed before any tuple
+    is read.  The last step emits the head, enumerating the formals the
+    body leaves unbound.
+    """
+    work = list(atoms)
+    steps = []
+    if focus is not None:
+        steps.append(_match_step("delta", work.pop(focus), slots))
+    while work:
+        pick, best = None, -1
+        for i, atom in enumerate(work):
+            if atom[0] == "eq":
+                if slots.known(atom[1]) or slots.known(atom[2]):
+                    pick = i
+                    break
+            else:
+                bound = sum(1 for t in atom[2] if slots.known(t))
+                if bound > best:
+                    pick, best = i, bound
+        if pick is None:
+            steps.append(("enum", slots.fresh(work[0][1])))
+            continue
+        atom = work.pop(pick)
+        if atom[0] == "pred":
+            steps.append(_match_step("probe", atom, slots))
+            continue
+        l, r = atom[1], atom[2]
+        if slots.known(l) and slots.known(r):
+            steps.append(("check", slots.of[l], slots.of[r]))
+        elif slots.known(l):
+            steps.append(("assign", slots.fresh(r), slots.of[l]))
+        else:
+            steps.append(("assign", slots.fresh(l), slots.of[r]))
+    free = [slots.fresh(("v", f)) for f in dict.fromkeys(formals)
+            if not slots.known(("v", f))]
+    steps.append(("emit", [slots.of[("v", f)] for f in formals], free))
+    return steps
 
 
-def least_model_seminaive(prog, return_raw=False):
-    """Delta-driven bottom-up fixpoint for first-order programs."""
+def _extend(idx, positions, rows):
+    key = itemgetter(*positions)
+    for row in rows:
+        idx.setdefault(key(row), []).append(row)
+
+
+class _Joins:
+    """Relations, indexes and round output of one seminaive run.
+
+    `total[p]` holds the tuples derived for p so far and changes only in
+    place, between rounds, so compiled steps can hold it.  `out[p]`
+    collects the head tuples emitted during a round.  An index maps the
+    value at one key position, or the tuple of values at several, to the
+    rows having it.
+    """
+
+    def __init__(self, universe, budget):
+        self.universe = universe
+        self.budget = budget
+        self.total = {}
+        self.out = {}
+        self.indexes = {}  # pred -> {key positions: {key: [row, ...]}}
+        self.tick = itertools.count(1).__next__
+
+    def rel(self, p):
+        if p not in self.total:
+            self.total[p] = set()
+            self.out[p] = set()
+        return self.total[p]
+
+    def index(self, p, positions):
+        by_positions = self.indexes.setdefault(p, {})
+        idx = by_positions.get(positions)
+        if idx is None:
+            idx = by_positions[positions] = {}
+            _extend(idx, positions, self.rel(p))
+        return idx
+
+    def end_round(self):
+        """Add each predicate's new tuples to its relation and indexes, and
+        return them as the next delta (predicates without any left out)."""
+        delta = {}
+        for p, out in self.out.items():
+            new = out - self.total[p]
+            out.clear()
+            if new:
+                self.total[p] |= new
+                for positions, idx in self.indexes.get(p, {}).items():
+                    _extend(idx, positions, new)
+                delta[p] = new
+        return delta
+
+    def compile(self, head, steps, template):
+        """Chain a plan's steps into closures over one slot list.
+
+        A plan led by a delta step compiles to a function of the focus
+        rows, any other plan to a function of no arguments.
+        """
+        env = list(template)
+        *body, emit = steps
+        nxt = self._emit(head, emit)
+        focus = body.pop(0) if body and body[0][0] == "delta" else None
+        for step in reversed(body):
+            nxt = self._step(step, nxt)
+        if focus is None:
+            return lambda: nxt(env)
+        _, _, _, _, out_pos, lo, checks = focus
+        hi = lo + len(out_pos)
+        nxt = self._checks(checks, nxt)
+
+        def run(rows):
+            for row in rows:
+                env[lo:hi] = row
+                nxt(env)
+        return run
+
+    def _checks(self, checks, nxt):
+        for a, b in reversed(checks):
+            nxt = self._step(("check", a, b), nxt)
+        return nxt
+
+    def _step(self, step, nxt):
+        kind = step[0]
+        if kind == "check":
+            _, a, b = step
+
+            def check(env):
+                if env[a] == env[b]:
+                    nxt(env)
+            return check
+        if kind == "assign":
+            _, dst, src = step
+
+            def assign(env):
+                env[dst] = env[src]
+                nxt(env)
+            return assign
+        if kind == "enum":
+            universe, slot = self.universe, step[1]
+
+            def enum(env):
+                for c in universe:
+                    env[slot] = c
+                    nxt(env)
+            return enum
+        _, p, key_pos, key_slots, out_pos, lo, checks = step
+        rel = self.rel(p)
+        if kind == "member":
+            key = _tuple_of(key_slots)
+
+            def member(env):
+                if key(env) in rel:
+                    nxt(env)
+            return member
+        hi = lo + len(out_pos)
+        get = _tuple_of(out_pos)
+        nxt = self._checks(checks, nxt)
+        if kind == "scan":
+            def scan(env):
+                for row in rel:
+                    env[lo:hi] = get(row)
+                    nxt(env)
+            return scan
+        idx = self.index(p, key_pos)
+        key = itemgetter(*key_slots)
+
+        def probe(env):
+            for row in idx.get(key(env), ()):
+                env[lo:hi] = get(row)
+                nxt(env)
+        return probe
+
+    def _emit(self, head, step):
+        _, formal_slots, free = step
+        self.rel(head)
+        add = self.out[head].add
+        get = _tuple_of(formal_slots)
+        tick, budget = self.tick, self.budget
+        if not free:
+            def emit(env):
+                if tick() > budget:
+                    raise BudgetExhaustedError("unknown: budget")
+                add(get(env))
+            return emit
+        lo, hi, universe = free[0], free[-1] + 1, self.universe
+
+        def emit_all(env):
+            for values in itertools.product(universe, repeat=hi - lo):
+                env[lo:hi] = values
+                if tick() > budget:
+                    raise BudgetExhaustedError("unknown: budget")
+                add(get(env))
+        return emit_all
+
+
+def least_model_seminaive(prog, cfg=None):
+    """Delta-driven bottom-up fixpoint for first-order programs.
+
+    The step budget of `cfg` counts derived head tuples: one step per
+    tuple a rule body yields, duplicates included.  BudgetExhaustedError
+    is raised once the count passes the budget.
+    """
     for p, ty in prog.signatures.items():
         if type_order(ty) > 1:
             raise EngineError("seminaive engine requires a first-order program"
                               " (predicate %s has order %d)" % (p, type_order(ty)))
-    universe = herbrand_universe(prog)
-    rules = []
+    cfg = cfg or EngineConfig()
+    joins = _Joins(herbrand_universe(prog), cfg.step_budget)
+    for p in prog.signatures:
+        joins.rel(p)
+    seeds = []
+    plans = {}  # focus predicate -> [[head, steps, template, compiled], ...]
     for cl in prog.clauses:
         atoms = [_compile_atom(b) for b in cl.body]
-        rules.append(((cl.head, [f.name for f in cl.formals]), atoms))
-    total = {p: set() for p in prog.signatures}
-    delta = {p: set() for p in prog.signatures}
+        formals = [f.name for f in cl.formals]
+        foci = [i for i, a in enumerate(atoms) if a[0] == "pred"]
+        for focus in foci or [None]:
+            slots = _Slots(atoms)
+            plan = [cl.head, _plan(atoms, focus, formals, slots),
+                    slots.template, None]
+            if focus is None:
+                seeds.append(plan)
+            else:
+                plans.setdefault(atoms[focus][1], []).append(plan)
 
-    # round 0: rules without positive body atoms
-    matcher = _Matcher(total, universe)
-    for rule, atoms in rules:
-        if any(a[0] == "pred" for a in atoms):
-            continue
-        for subst in _solve_body([(a, None) for a in atoms], {}, matcher):
-            for tup in _heads_from(rule, subst, universe):
-                if tup not in total[rule[0]]:
-                    total[rule[0]].add(tup)
-                    delta[rule[0]].add(tup)
-
-    iterations = 1 if any(delta.values()) else 0
-    while any(delta.values()):
-        new = {p: set() for p in prog.signatures}
-        matcher = _Matcher(total, universe)
-        for rule, atoms in rules:
-            pred_positions = [i for i, a in enumerate(atoms) if a[0] == "pred"]
-            if not pred_positions:
-                continue
-            for focus in pred_positions:
-                name = atoms[focus][1]
-                d = delta.get(name)
-                if not d:
-                    continue
-                work = [(atoms[focus], list(d))] + [
-                    (a, None) for i, a in enumerate(atoms) if i != focus]
-                for subst in _solve_body(work, {}, matcher):
-                    for tup in _heads_from(rule, subst, universe):
-                        if tup not in total[rule[0]] and tup not in new[rule[0]]:
-                            new[rule[0]].add(tup)
-        for p, tuples in new.items():
-            total[p] |= tuples
-        delta = new
-        if any(delta.values()):
+    for head, steps, template, _ in seeds:
+        joins.compile(head, steps, template)()
+    delta = joins.end_round()
+    iterations = 1 if delta else 0
+    while delta:
+        for p, rows in delta.items():
+            for plan in plans.get(p, ()):
+                if plan[3] is None:  # first use: build the plan's indexes
+                    plan[3] = joins.compile(*plan[:3])
+                plan[3](rows)
+        delta = joins.end_round()
+        if delta:
             iterations += 1
 
-    if return_raw:
-        return total, iterations
+    ind = {c: Ind(c) for c in joins.universe}.__getitem__
     interp = {}
     for p, ty in prog.signatures.items():
         if ty == OMICRON:
-            interp[p] = Bool(() in total[p])
+            interp[p] = Bool(() in joins.total[p])
         else:
             interp[p] = Rel(ty, frozenset(
-                tuple(Ind(c) for c in tup) for tup in total[p]))
+                tuple(map(ind, tup)) for tup in joins.total[p]))
     return FixpointResult(interp, iterations)
 
 
@@ -309,9 +446,7 @@ class DemandEngine:
         self.steps = 0
 
     def solve(self, goal):
-        """Truth of a ground atom (Goal or Expr) in the least model."""
-        if isinstance(goal, Goal):
-            goal = goal.to_expr()
+        """Truth of a ground atom in the least model."""
         key = self._intern(goal, dependent=None)
         self.pending.append(key)
         self._run()
@@ -416,11 +551,12 @@ def solve_demand(prog, goal, cfg=None):
 # Unified decision entry point
 
 def decide(prog, w, cfg=None):
-    """Run the selected engine on prog merged with the encoded input."""
+    """Run the selected engine on prog merged with the encoded input
+    (w=None: on prog as it is, with no input facts)."""
     cfg = cfg or EngineConfig()
-    merged = merge(prog, encode_input(w))
+    merged = prog if w is None else merge(prog, encode_input(w))
     if cfg.engine == "seminaive":
-        result = least_model_seminaive(merged)
+        result = least_model_seminaive(merged, cfg)
         accept = result.interpretation.get("accept", Bool(False)) == Bool(True)
     elif cfg.engine == "naive":
         from .semantics import least_model_naive

@@ -56,6 +56,24 @@ def test_run_budget_exit_code(tmp_path):
     assert main(["run", str(p), "--input", "abab", "--budget", "3"]) == 2
 
 
+def test_run_budget_exit_code_seminaive(tmp_path, capsys):
+    p = tmp_path / "chain4.hodl"
+    p.write_text("edge a b. edge b c. edge c d. edge d e. "
+                 "path X Y :- (edge X Y). path X Y :- (edge X Z), (path Z Y). "
+                 "accept :- (path a e).\n")
+    args = ["run", str(p), "--input", "", "--engine", "seminaive"]
+    assert main(args + ["--budget", "1"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(args) == 0
+    assert capsys.readouterr().out.strip() == "accept"
+
+
+def test_crosscheck_budget_exit_code(parity_tm, capsys):
+    assert main(["crosscheck", parity_tm, "--order", "1", "--d", "2",
+                 "--max-len", "1", "--budget", "1"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_model_dump(tmp_path, capsys):
     p = tmp_path / "ex.hodl"
     p.write_text("p a. q R :- (R b).\n")
