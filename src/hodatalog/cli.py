@@ -13,15 +13,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .codegen import compile_tm_first_order, compile_tm_higher_order, emit_hodl
-from .core import HodlError, expk
+from .core import BudgetExhaustedError, HodlError, expk
 from .encode import ALPHABET, encode_input, merge
-from .engines import (BudgetExhaustedError, DemandEngine, EngineConfig,
-                      decide, least_model_seminaive)
-from .semantics import Bool, dump_model, least_model_naive
+from .engines import EngineConfig, _run_engine, decide
+from .semantics import dump_model, least_model_naive
 from .syntax import parse_program
 from .tm import parse_tm, tm_run
-from .typecheck import infer_types
-from .core import Pred
+from .typecheck import analyze, infer_types
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -34,14 +32,16 @@ class CrosscheckReport:
     machine: str
     k: int
     d: int
-    rows: list = field(default_factory=list)  # (input, oracle, engine, agree, steps)
+    # (input, oracle, engine, agree, steps, steps unit)
+    rows: list = field(default_factory=list)
 
     @property
     def agreements(self):
         return sum(1 for r in self.rows if r[3])
 
     def render(self):
-        header = ("input", "oracle", "engine", "agree", "steps")
+        units = "/".join(sorted({r[5] for r in self.rows}))
+        header = ("input", "oracle", "engine", "agree", "steps (%s)" % units)
         body = [(repr(r[0]), r[1], r[2], "yes" if r[3] else "NO", str(r[4]))
                 for r in self.rows]
         widths = [max(len(header[i]), max((len(b[i]) for b in body), default=0))
@@ -55,9 +55,10 @@ class CrosscheckReport:
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["input", "oracle", "engine", "agree", "steps"])
+            w.writerow(["input", "oracle", "engine", "agree", "steps",
+                        "steps_unit"])
             for r in self.rows:
-                w.writerow([r[0], r[1], r[2], str(r[3]).lower(), r[4]])
+                w.writerow([r[0], r[1], r[2], str(r[3]).lower(), r[4], r[5]])
 
 
 def _load_program(path):
@@ -72,7 +73,6 @@ def _load_machine(path):
 
 
 def _merged(path, w):
-    from .typecheck import analyze
     prog, report = analyze(_load_program(path))
     if not report.ok:
         raise HodlError("; ".join(d.render(path) for d in report.violations))
@@ -103,7 +103,7 @@ def cmd_run(args):
 
 def cmd_model(args):
     prog = _merged(args.file, args.input)
-    res = least_model_naive(prog, cap=args.cap)
+    res = least_model_naive(prog, cap=args.cap, budget=args.budget)
     sys.stdout.write(dump_model(prog, res.interpretation))
     return EXIT_ACCEPT
 
@@ -148,19 +148,12 @@ def _all_strings(max_len):
 
 def crosscheck_row(prog, machine, w, k, d, budget):
     oracle = tm_run(machine, w, _sim_bound(k, d, len(w)))
-    merged = merge(prog, encode_input(w))
-    cfg = EngineConfig(step_budget=budget)
-    if k == 1:
-        res = least_model_seminaive(merged, cfg)
-        accept = res.interpretation.get("accept", Bool(False)) == Bool(True)
-        steps = res.iterations
-    else:
-        eng = DemandEngine(merged, cfg)
-        accept = eng.solve(Pred("accept"))
-        steps = eng.steps
+    cfg = EngineConfig(engine="seminaive" if k == 1 else "demand",
+                       step_budget=budget)
+    accept, steps, unit = _run_engine(merge(prog, encode_input(w)), cfg)
     verdict = "accept" if accept else "reject"
     oracle_verdict = "accept" if oracle.accepted else "reject"
-    return (w, oracle_verdict, verdict, oracle.verdict, verdict == oracle_verdict, steps)
+    return (w, oracle_verdict, verdict, verdict == oracle_verdict, steps, unit)
 
 
 def _row_worker(packed):
@@ -194,8 +187,7 @@ def cmd_crosscheck(args):
             results = list(pool.map(_row_worker, jobs))
     else:
         results = [_row_worker(j) for j in jobs]
-    for w, oracle_verdict, verdict, _, agree, steps in results:
-        report.rows.append((w, oracle_verdict, verdict, agree, steps))
+    report.rows.extend(results)
     print(report.render())
     if args.csv:
         report.write_csv(args.csv)
@@ -265,6 +257,9 @@ def main(argv=None):
         return EXIT_BUDGET
     except (HodlError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as e:  # a crash must not read as a verdict
+        print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return EXIT_ERROR
 
 

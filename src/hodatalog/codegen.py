@@ -9,8 +9,6 @@ are expanded to d explicit individual arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Arrow, HodlError, IOTA, arrow
 from .core import render_type
 from .syntax import parse_program
@@ -24,19 +22,6 @@ SYMBOL_NAMES = {"a": "symbol_a", "b": "symbol_b", BLANK: "symbol_blank"}
 
 class GenerationError(HodlError):
     pass
-
-
-@dataclass(frozen=True)
-class GenParams:
-    machine: object
-    d: int = 1
-    k: int = 1
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise GenerationError("d must be >= 1")
-        if self.k < 1:
-            raise GenerationError("k must be >= 1")
 
 
 def _vars(prefix, d):
@@ -68,6 +53,8 @@ def _iotas(n):
 # Base and tuple arithmetic over input positions (numbers 0 .. n^d - 1)
 
 def base_arith_text(d):
+    if d < 1:
+        raise GenerationError("d must be >= 1")
     X, Y, Z = _vars("X", d), _vars("Y", d), _vars("Z", d)
     rel_d = arrow(_iotas(d))
     rel_2d = arrow(_iotas(2 * d))

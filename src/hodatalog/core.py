@@ -13,6 +13,10 @@ class ResourceLimitError(HodlError):
     """An arbitrary-precision computation exceeded the configured bit cap."""
 
 
+class BudgetExhaustedError(HodlError):
+    """Raised when an engine's step budget runs out; the answer is unknown."""
+
+
 # ---------------------------------------------------------------------------
 # Types
 
@@ -153,13 +157,6 @@ def app_spine(e):
     return e, args
 
 
-def make_app(head, args):
-    e = head
-    for a in args:
-        e = App(e, a)
-    return e
-
-
 def expr_vars(e):
     if isinstance(e, Var):
         yield e
@@ -180,17 +177,6 @@ def expr_consts(e):
     elif isinstance(e, Eq):
         yield from expr_consts(e.left)
         yield from expr_consts(e.right)
-
-
-def expr_preds(e):
-    if isinstance(e, Pred):
-        yield e.name
-    elif isinstance(e, App):
-        yield from expr_preds(e.fn)
-        yield from expr_preds(e.arg)
-    elif isinstance(e, Eq):
-        yield from expr_preds(e.left)
-        yield from expr_preds(e.right)
 
 
 # ---------------------------------------------------------------------------

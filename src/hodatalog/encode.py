@@ -37,24 +37,6 @@ def encode_input(w):
     return facts
 
 
-def decode_input(facts):
-    """Read the string back off the chain (sanity inverse of encode_input)."""
-    by_pos = {}
-    for cl in facts:
-        args = [b.right.name for b in cl.body]
-        by_pos[args[0]] = (args[1], args[2])
-    out = []
-    pos = "0"
-    for _ in range(len(by_pos)):
-        sym, nxt = by_pos[pos]
-        if sym != EMPTY:
-            out.append(sym)
-        if nxt == END:
-            break
-        pos = nxt
-    return "".join(out)
-
-
 def merge(prog, facts):
     """Union a program with ground input/3 facts."""
     declared = prog.signatures.get("input")

@@ -7,30 +7,29 @@
   hash index per (predicate, bound positions), built the first time a plan
   needs it and extended with every round's new tuples; a probe that binds
   every position tests the relation itself.
-* DemandEngine / solve_demand: demand-driven tabled evaluation for
-  higher-order programs.  Ground goals are memoized by their canonical
-  syntactic form; the table is driven to a least fixpoint by propagating
-  false-to-true flips to recorded dependents.  No monotone domain is ever
-  enumerated.
-* decide: the unified accept/reject entry point.
+* DemandEngine: demand-driven tabled evaluation for higher-order
+  programs.  Ground goals are memoized by their canonical syntactic form;
+  the table is driven to a least fixpoint by propagating false-to-true
+  flips to recorded dependents.  No monotone domain is ever enumerated.
+  Trace lines go to stderr.
+* decide: the accept/reject entry point.  It and the CLI's crosscheck go
+  through `_run_engine`, the one place that picks an engine by name.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import (App, Const, Eq, HodlError, OMICRON, Pred, Var, app_spine,
-                   type_order)
+from .core import (App, BudgetExhaustedError, Const, Eq, HodlError, OMICRON,
+                   Pred, Var, app_spine, type_order)
 from .encode import encode_input, merge
-from .semantics import Bool, FixpointResult, Ind, Rel, herbrand_universe
+from .semantics import (TRUE, Bool, FixpointResult, Ind, Rel,
+                        herbrand_universe, least_model_naive)
 from .syntax import render_expr
-
-
-class BudgetExhaustedError(HodlError):
-    """Raised when the step budget runs out; the answer is unknown."""
 
 
 class EngineError(HodlError):
@@ -40,9 +39,14 @@ class EngineError(HodlError):
 @dataclass
 class EngineConfig:
     engine: str = "demand"  # naive | seminaive | demand
-    step_budget: int = 10 ** 7  # demand: goal runs; seminaive: derivations
-    domain_cap: int = 1 << 16
-    trace: bool = False
+    # BudgetExhaustedError once an engine takes more steps than this.  A
+    # step is a productive T_P application for naive, a derived head tuple
+    # (duplicates included) for seminaive and a goal run for demand.  The
+    # step counts `_run_engine` reports use the same units, except that
+    # seminaive reports rounds.
+    step_budget: int = 10 ** 7
+    domain_cap: int = 1 << 16  # naive only
+    trace: bool = False  # demand only
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +345,13 @@ class _Joins:
         return emit_all
 
 
-def least_model_seminaive(prog, cfg=None):
-    """Delta-driven bottom-up fixpoint for first-order programs.
-
-    The step budget of `cfg` counts derived head tuples: one step per
-    tuple a rule body yields, duplicates included.  BudgetExhaustedError
-    is raised once the count passes the budget.
-    """
+def _seminaive_fixpoint(prog, cfg):
+    """The least model's relations, as {pred: set of tuples of constant
+    names}, and the number of productive rounds."""
     for p, ty in prog.signatures.items():
         if type_order(ty) > 1:
             raise EngineError("seminaive engine requires a first-order program"
                               " (predicate %s has order %d)" % (p, type_order(ty)))
-    cfg = cfg or EngineConfig()
     joins = _Joins(herbrand_universe(prog), cfg.step_budget)
     for p in prog.signatures:
         joins.rel(p)
@@ -384,15 +383,25 @@ def least_model_seminaive(prog, cfg=None):
         delta = joins.end_round()
         if delta:
             iterations += 1
+    return joins.total, iterations
 
-    ind = {c: Ind(c) for c in joins.universe}.__getitem__
+
+def least_model_seminaive(prog, cfg=None):
+    """Delta-driven bottom-up fixpoint for first-order programs.
+
+    The step budget of `cfg` counts derived head tuples: one step per
+    tuple a rule body yields, duplicates included.  BudgetExhaustedError
+    is raised once the count passes the budget.
+    """
+    total, iterations = _seminaive_fixpoint(prog, cfg or EngineConfig())
+    ind = {c: Ind(c) for c in herbrand_universe(prog)}.__getitem__
     interp = {}
     for p, ty in prog.signatures.items():
         if ty == OMICRON:
-            interp[p] = Bool(() in joins.total[p])
+            interp[p] = Bool(() in total[p])
         else:
             interp[p] = Rel(ty, frozenset(
-                tuple(map(ind, tup)) for tup in joins.total[p]))
+                tuple(map(ind, tup)) for tup in total[p]))
     return FixpointResult(interp, iterations)
 
 
@@ -461,7 +470,7 @@ class DemandEngine:
             self.goal_exprs[key] = atom
             self.pending.append(key)
             if self.cfg.trace:
-                print("%s -> false @%d" % (key, self.steps))
+                print("%s -> false @%d" % (key, self.steps), file=sys.stderr)
         return key
 
     def _run(self):
@@ -475,7 +484,8 @@ class DemandEngine:
             if self._eval_goal(key, self.goal_exprs[key]):
                 self.table[key] = True
                 if self.cfg.trace:
-                    print("%s -> true @%d" % (key, self.steps))
+                    print("%s -> true @%d" % (key, self.steps),
+                          file=sys.stderr)
                 for d in self.deps.get(key, ()):
                     if not self.table[d]:
                         self.pending.append(d)
@@ -542,28 +552,29 @@ class DemandEngine:
         return False
 
 
-def solve_demand(prog, goal, cfg=None):
-    """Truth of a single ground goal in the least model of prog."""
-    return DemandEngine(prog, cfg).solve(goal)
-
-
 # ---------------------------------------------------------------------------
-# Unified decision entry point
+# Engine dispatch
+
+def _run_engine(merged, cfg):
+    """Run the engine `cfg` names on a program that already holds its input
+    facts.  Returns (accept holds, steps taken, the unit of those steps)."""
+    if cfg.engine == "seminaive":
+        total, rounds = _seminaive_fixpoint(merged, cfg)
+        return () in total.get("accept", ()), rounds, "rounds"
+    if cfg.engine == "naive":
+        res = least_model_naive(merged, cfg.domain_cap, cfg.step_budget)
+        return (res.interpretation.get("accept") == TRUE, res.iterations,
+                "T_P applications")
+    if cfg.engine == "demand":
+        eng = DemandEngine(merged, cfg)
+        return eng.solve(Pred("accept")), eng.steps, "goal runs"
+    raise EngineError("unknown engine %r" % cfg.engine)
+
 
 def decide(prog, w, cfg=None):
-    """Run the selected engine on prog merged with the encoded input
-    (w=None: on prog as it is, with no input facts)."""
-    cfg = cfg or EngineConfig()
+    """The verdict, "accept" or "reject", of the engine `cfg` names run on
+    prog merged with the encoded input (w=None: on prog as it is, with no
+    input facts)."""
     merged = prog if w is None else merge(prog, encode_input(w))
-    if cfg.engine == "seminaive":
-        result = least_model_seminaive(merged, cfg)
-        accept = result.interpretation.get("accept", Bool(False)) == Bool(True)
-    elif cfg.engine == "naive":
-        from .semantics import least_model_naive
-        result = least_model_naive(merged, cap=cfg.domain_cap)
-        accept = result.interpretation.get("accept", Bool(False)) == Bool(True)
-    elif cfg.engine == "demand":
-        accept = DemandEngine(merged, cfg).solve(Pred("accept"))
-    else:
-        raise EngineError("unknown engine %r" % cfg.engine)
+    accept, _, _ = _run_engine(merged, cfg or EngineConfig())
     return "accept" if accept else "reject"

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (App, Arrow, Const, Eq, HodlError, IOTA, OMICRON, Pred,
-                   Program, Var, arg_types, is_predicate_type, type_order)
+from .core import (App, BudgetExhaustedError, Const, Eq, HodlError, IOTA,
+                   OMICRON, Pred, Var, arg_types, expr_vars)
 
 
 class DomainTooLargeError(HodlError):
@@ -90,9 +90,6 @@ class Domain:
     def __post_init__(self):
         self.index = {e: i for i, e in enumerate(self.elements)}
 
-    def leq(self, x, y):
-        return value_leq(x, y)
-
     def __len__(self):
         return len(self.elements)
 
@@ -163,27 +160,11 @@ def _tuple_leq(u, v):
     return all(value_leq(a, b) for a, b in zip(u, v))
 
 
-def count_upward_closed(arg_domains):
-    """Brute-force oracle: filter the full powerset for upward closure."""
-    product = list(itertools.product(*(d.elements for d in arg_domains)))
-    count = 0
-    for bits in itertools.product((False, True), repeat=len(product)):
-        s = [t for t, b in zip(product, bits) if b]
-        if all(t2 in s or not _tuple_leq(t1, t2)
-               for t1 in s for t2 in product):
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Interpretations and evaluation
 
 def bottom_interpretation(prog):
     return {p: bottom_value(ty) for p, ty in prog.signatures.items()}
-
-
-def interp_leq(i, j):
-    return all(value_leq(i[p], j[p]) for p in i)
 
 
 def eval_expr(e, interp, state):
@@ -239,7 +220,6 @@ def _clause_extra_vars(cl):
     formal_names = {f.name for f in cl.formals}
     extras = []
     for b in cl.body:
-        from .core import expr_vars
         for v in expr_vars(b):
             if v.name not in formal_names and v.name not in extras:
                 extras.append(v.name)
@@ -294,18 +274,23 @@ class FixpointResult:
     iterations: int  # productive T_P applications
 
 
-def least_model_naive(prog, cap=1 << 16, max_iterations=10 ** 6):
-    """Iterate T_P from bottom to the least fixpoint."""
+def least_model_naive(prog, cap=1 << 16, budget=10 ** 7):
+    """Iterate T_P from bottom to the least fixpoint.
+
+    The step budget counts productive T_P applications; BudgetExhaustedError
+    is raised once the count passes it.
+    """
     domains = build_domains(prog, cap)
     interp = bottom_interpretation(prog)
     productive = 0
-    for _ in range(max_iterations):
+    while True:
         nxt = tp_step(prog, interp, domains)
         if nxt == interp:
             return FixpointResult(interp, productive)
-        interp = nxt
         productive += 1
-    raise HodlError("fixpoint iteration cap exceeded (internal error)")
+        if productive > budget:
+            raise BudgetExhaustedError("unknown: budget")
+        interp = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,6 @@ def parse_program(text):
 # Printing
 
 def render_expr(e, outer=True):
-    from .core import App, Const, Eq, Pred, Var
     if isinstance(e, (Const, Pred, Var)):
         return e.name
     if isinstance(e, Eq):
@@ -272,20 +271,6 @@ def print_source(src):
         head = " ".join([cl.head] + [
             render_expr(a) if not isinstance(a, App) else "(" + render_expr(a) + ")"
             for a in cl.head_args])
-        if cl.body:
-            lines.append("%s :- %s." % (head, ", ".join(_render_body_atom(b) for b in cl.body)))
-        else:
-            lines.append("%s." % head)
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def print_program(prog):
-    """Render a desugared core Program; output re-parses to an equal AST."""
-    lines = []
-    for name in prog.signatures:
-        lines.append("#pred %s : %s." % (name, render_type(prog.signatures[name])))
-    for cl in prog.clauses:
-        head = " ".join([cl.head] + [f.name for f in cl.formals])
         if cl.body:
             lines.append("%s :- %s." % (head, ", ".join(_render_body_atom(b) for b in cl.body)))
         else:

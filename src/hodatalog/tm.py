@@ -151,12 +151,6 @@ def tm_run(machine, w, max_steps):
         steps += 1
 
 
-def step_count(machine, w, horizon=10 ** 6):
-    """Steps until first entering yes, or None within the horizon."""
-    res = tm_run(machine, w, horizon)
-    return res.steps_used if res.accepted else None
-
-
 # ---------------------------------------------------------------------------
 # Sample machines
 

@@ -14,7 +14,7 @@ from . import core
 from .core import (App, Arrow, Clause, Const, Eq, Formal, HodlError, IOTA,
                    OMICRON, Pred, Program, Var, is_predicate_type,
                    render_type, type_order)
-from .syntax import SourceProgram, SurfaceClause
+from .syntax import SourceProgram, SurfaceClause, parse_program
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,6 @@ def _lower(e, pred_names, var_tys):
 def analyze(src):
     """Full front end: type, validate, desugar. Returns (Program, TypeReport)."""
     if isinstance(src, str):
-        from .syntax import parse_program
         src = parse_program(src)
     report = infer_types(src)
     prog = desugar(src, report)

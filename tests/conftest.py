@@ -1,10 +1,11 @@
 """Shared helpers: expression builders, goal enumeration, the tiny-program
-corpus used by the engine-agreement and consequence-operator suites."""
+corpus used by the engine-agreement and consequence-operator suites, and
+brute-force oracles for domains and interpretations."""
 
 import itertools
 
 from hodatalog.core import App, Const, Pred, arg_types
-from hodatalog.semantics import TRUE, eval_expr
+from hodatalog.semantics import TRUE, eval_expr, value_leq
 from hodatalog.typecheck import analyze
 
 
@@ -69,3 +70,19 @@ def ground_goals(prog):
 
 def truth_in_model(goal, interpretation):
     return eval_expr(goal, interpretation, {}) == TRUE
+
+
+def count_upward_closed(arg_domains):
+    """Brute-force oracle: filter the full powerset for upward closure."""
+    product = list(itertools.product(*(d.elements for d in arg_domains)))
+    count = 0
+    for bits in itertools.product((False, True), repeat=len(product)):
+        s = [t for t, b in zip(product, bits) if b]
+        if all(t2 in s or not all(map(value_leq, t1, t2))
+               for t1 in s for t2 in product):
+            count += 1
+    return count
+
+
+def interp_leq(i, j):
+    return all(value_leq(i[p], j[p]) for p in i)

@@ -12,15 +12,15 @@ import time
 
 import pytest
 
-from conftest import C, P, analyzed_corpus, ap, ground_goals, truth_in_model
+from conftest import (C, P, analyzed_corpus, ap, count_upward_closed,
+                      ground_goals, interp_leq, truth_in_model)
 from hodatalog.codegen import (bignum_text, compile_tm_first_order,
                                compile_tm_higher_order)
 from hodatalog.core import IOTA, arrow, compute_stats, expk, iteration_bound
 from hodatalog.encode import encode_input, merge
 from hodatalog.engines import DemandEngine, EngineConfig, decide, \
     least_model_seminaive
-from hodatalog.semantics import (Ind, Rel, build_domains, count_upward_closed,
-                                 enumerate_domain, interp_leq,
+from hodatalog.semantics import (Ind, Rel, build_domains, enumerate_domain,
                                  least_model_naive, tp_step, value_leq)
 from hodatalog.tm import sample_machine, tm_run
 from hodatalog.typecheck import analyze, infer_types, validate_definitional

@@ -68,6 +68,43 @@ def test_run_budget_exit_code_seminaive(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "accept"
 
 
+def test_naive_budget_exit_code(tmp_path, capsys):
+    # three productive T_P applications: p, then q, then accept
+    p = tmp_path / "steps3.hodl"
+    p.write_text("p a. q X :- (p X). accept :- (q a).\n")
+    for args in (["run", str(p), "--engine", "naive"], ["model", str(p)]):
+        assert main(args + ["--budget", "2"]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(args + ["--budget", "3"]) == 0
+        assert "accept" in capsys.readouterr().out
+
+
+def test_run_trace_goes_to_stderr(tmp_path, capsys):
+    p = tmp_path / "p.hodl"
+    p.write_text("p a. accept :- (p a).\n")
+    assert main(["run", str(p), "--trace"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "accept\n"
+    assert "accept -> true" in captured.err
+
+
+def test_crash_is_not_a_verdict(tmp_path, capsys):
+    p = tmp_path / "deep.hodl"
+    p.write_text("p " + "(" * 3000 + "a" + ")" * 3000 + ".\n")
+    assert main(["check", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: RecursionError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--d", "0"], "error: d must be >= 1"),
+    (["--order", "0"], "error: higher-order simulation requires k >= 2")],
+    ids=["d0", "order0"])
+def test_compile_tm_rejects_bad_parameters(parity_tm, flags, message, capsys):
+    assert main(["compile-tm", parity_tm] + flags) == 3
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_crosscheck_budget_exit_code(parity_tm, capsys):
     assert main(["crosscheck", parity_tm, "--order", "1", "--d", "2",
                  "--max-len", "1", "--budget", "1"]) == 2
@@ -111,10 +148,12 @@ def test_crosscheck_first_order(parity_tm, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "7/7 agree" in out
+    assert "steps (rounds)" in out
     with open(csv_path) as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 7
     assert all(r["agree"] == "true" for r in rows)
+    assert all(r["steps_unit"] == "rounds" for r in rows)
 
 
 def test_crosscheck_higher_order(tmp_path, capsys):
@@ -123,7 +162,9 @@ def test_crosscheck_higher_order(tmp_path, capsys):
     code = main(["crosscheck", str(p), "--order", "2", "--d", "1",
                  "--max-len", "2"])
     assert code == 0
-    assert "7/7 agree" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "7/7 agree" in out
+    assert "steps (goal runs)" in out
 
 
 def test_crosscheck_parallel_rows(parity_tm, capsys):

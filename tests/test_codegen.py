@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import C, P, ap
-from hodatalog.codegen import (GenParams, GenerationError, base_arith_text,
+from hodatalog.codegen import (GenerationError, base_arith_text,
                                bignum_text, compile_tm_first_order,
                                compile_tm_higher_order, emit_hodl,
                                first_order_text, gen_base_arith, gen_bignum,
@@ -15,14 +15,6 @@ from hodatalog.engines import DemandEngine, EngineConfig, decide
 from hodatalog.syntax import parse_program, print_source
 from hodatalog.tm import parse_tm, sample_machine, tm_run
 from hodatalog.typecheck import analyze, infer_types
-
-
-def test_gen_params_validation():
-    m = sample_machine("parity")
-    with pytest.raises(GenerationError):
-        GenParams(machine=m, d=0)
-    with pytest.raises(GenerationError):
-        GenParams(machine=m, k=0)
 
 
 def test_base_arith_round_trip():

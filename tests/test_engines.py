@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import C, P, analyzed_corpus, ap, ground_goals, truth_in_model
 from hodatalog.engines import (BudgetExhaustedError, DemandEngine,
                                EngineConfig, EngineError, decide,
-                               least_model_seminaive, solve_demand)
+                               least_model_seminaive)
 from hodatalog.semantics import Bool, Ind, least_model_naive
 from hodatalog.typecheck import analyze, infer_types
 
@@ -98,8 +98,8 @@ def test_engine_agreement_on_ground_goals():
 
 def test_demand_closure_goal():
     prog, _ = analyze("f a. twice R X :- (R X), (R X).")
-    assert solve_demand(prog, ap(P("twice"), P("f"), C("a")))
-    assert not solve_demand(prog, ap(P("twice"), P("f"), C("b")))
+    assert DemandEngine(prog).solve(ap(P("twice"), P("f"), C("a")))
+    assert not DemandEngine(prog).solve(ap(P("twice"), P("f"), C("b")))
 
 
 def test_demand_recursive_program():
@@ -145,5 +145,6 @@ def test_seminaive_iteration_count():
 def test_trace_output(capsys):
     prog, _ = analyze("p a.")
     DemandEngine(prog, EngineConfig(trace=True)).solve(ap(P("p"), C("a")))
-    out = capsys.readouterr().out
-    assert "p a -> true" in out
+    captured = capsys.readouterr()
+    assert "p a -> true" in captured.err
+    assert captured.out == ""

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from conftest import analyzed_corpus, ground_goals, truth_in_model
+from conftest import (analyzed_corpus, count_upward_closed, ground_goals,
+                      interp_leq, truth_in_model)
 from hodatalog.core import IOTA, arrow, compute_stats, iteration_bound
 from hodatalog.semantics import (Bool, DomainTooLargeError, FALSE, Ind, Rel,
                                  TRUE, apply_value, bottom_interpretation,
-                                 build_domains, count_upward_closed,
-                                 dump_model, enumerate_domain, eval_expr,
-                                 interp_leq, least_model_naive, tp_step,
+                                 build_domains, dump_model, enumerate_domain,
+                                 eval_expr, least_model_naive, tp_step,
                                  value_leq)
 from hodatalog.typecheck import analyze
 

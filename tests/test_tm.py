@@ -1,7 +1,7 @@
 import pytest
 
 from hodatalog.tm import (BLANK, MoveLeft, MoveRight, TmFormatError, Write,
-                          parse_tm, sample_machine, step_count, tm_run)
+                          parse_tm, sample_machine, tm_run)
 
 LEFT_EDGE = """\
 states: s0 yes
@@ -69,7 +69,6 @@ def test_parity_oracle():
 def test_out_of_steps():
     m = parse_tm(LOOPER)
     assert tm_run(m, "a", 10).verdict == "out_of_steps"
-    assert step_count(m, "a", 50) is None
 
 
 def test_left_edge_violation():
