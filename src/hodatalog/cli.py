@@ -12,7 +12,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .codegen import compile_tm_first_order, compile_tm_higher_order, emit_hodl
+from .codegen import (GenerationError, compile_tm_first_order,
+                      compile_tm_higher_order, emit_hodl)
 from .core import BudgetExhaustedError, HodlError, expk
 from .encode import ALPHABET, encode_input, merge
 from .engines import EngineConfig, _run_engine, decide
@@ -164,6 +165,8 @@ def _row_worker(packed):
 def cmd_crosscheck(args):
     machine = _load_machine(args.file)
     k, d = args.order, args.d
+    if k < 1:
+        raise GenerationError("order must be >= 1")
     if k == 1:
         prog = compile_tm_first_order(machine, d)
     else:

@@ -470,6 +470,8 @@ def compile_tm_higher_order(machine, k, d):
 
 def emit_hodl(machine, k, d):
     """Full .hodl text with a provenance header, ready to write to disk."""
+    if k < 1:
+        raise GenerationError("order must be >= 1")
     if k == 1:
         body = first_order_text(machine, d)
     else:

@@ -8,10 +8,12 @@
   needs it and extended with every round's new tuples; a probe that binds
   every position tests the relation itself.
 * DemandEngine: demand-driven tabled evaluation for higher-order
-  programs.  Ground goals are memoized by their canonical syntactic form;
-  the table is driven to a least fixpoint by propagating false-to-true
-  flips to recorded dependents.  No monotone domain is ever enumerated.
-  Trace lines go to stderr.
+  programs.  Ground terms are hash-consed into int ids, clause bodies are
+  compiled once into templates over them, and a ground goal is memoized
+  under (pred name, arg id, ...).  The table is driven to a least fixpoint
+  by propagating false-to-true flips to recorded dependents, in the order
+  they were recorded.  No monotone domain is ever enumerated.  Trace
+  lines, rendered from the ids, go to stderr.
 * decide: the accept/reject entry point.  It and the CLI's crosscheck go
   through `_run_engine`, the one place that picks an engine by name.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import (App, BudgetExhaustedError, Const, Eq, HodlError, OMICRON,
-                   Pred, Var, app_spine, type_order)
+                   Pred, Var, app_spine, expr_vars, type_order)
 from .encode import encode_input, merge
 from .semantics import (TRUE, Bool, FixpointResult, Ind, Rel,
                         herbrand_universe, least_model_naive)
@@ -408,70 +410,123 @@ def least_model_seminaive(prog, cfg=None):
 # ---------------------------------------------------------------------------
 # Demand-driven tabled engine
 
-def _subst_expr(e, subst):
-    if isinstance(e, Var):
-        got = subst.get(e.name)
-        if got is None:
-            return e
-        return got
-    if isinstance(e, App):
-        return App(_subst_expr(e.fn, subst), _subst_expr(e.arg, subst))
-    if isinstance(e, Eq):
-        return Eq(_subst_expr(e.left, subst), _subst_expr(e.right, subst))
-    return e
-
-
-def _free_vars(e, acc):
-    if isinstance(e, Var):
-        acc.add(e.name)
-    elif isinstance(e, App):
-        _free_vars(e.fn, acc)
-        _free_vars(e.arg, acc)
-    elif isinstance(e, Eq):
-        _free_vars(e.left, acc)
-        _free_vars(e.right, acc)
-
-
 class DemandEngine:
     """Tabled evaluation of ground goals against a fixed program.
 
-    Table entries are canonical renderings of fully flattened ground atoms;
-    closure-headed atoms unfold by spine flattening.  Entries start false
-    and may flip to true exactly once; flips re-enqueue recorded dependents,
-    so the stable table is the least fixpoint over the discovered goals.
+    Ground terms are hash-consed: each is interned once as an int id, a
+    leaf as ("c", name) or ("p", name) and an application as (fn id, arg
+    id), so equal terms have equal ids however deep they are.  Clause
+    bodies are compiled once into templates whose ground subterms are
+    already ids, and a substitution maps variable names to ids, so
+    grounding a body atom walks only the clause-sized template.  A goal's
+    table key is (pred name, arg id, ...), or ("=", left id, right id) for
+    an equation; closure-headed atoms flatten through the id table.
+    Entries start false and may flip to true exactly once; a flip
+    re-enqueues the goals recorded as depending on it, in the order they
+    were recorded, so the stable table is the least fixpoint over the
+    discovered goals.
     """
 
     def __init__(self, prog, cfg=None):
-        self.prog = prog
         self.cfg = cfg or EngineConfig()
-        self.universe = herbrand_universe(prog)
-        self.clauses = {}
+        self.nodes = []  # id -> node
+        self.ids = {}  # node -> id
+        self.universe = [self._id(("c", c)) for c in herbrand_universe(prog)]
+        self.clauses = {}  # pred -> [(formal names, body atoms), ...]
         for cl in prog.clauses:
-            self.clauses.setdefault(cl.head, []).append(cl)
+            self.clauses.setdefault(cl.head, []).append(
+                ([f.name for f in cl.formals], [self._atom(b) for b in cl.body]))
         self.table = {}
-        self.goal_exprs = {}
-        self.deps = {}
+        self.deps = {}  # key -> {dependent key: None}, in insertion order
         self.pending = deque()
         self.steps = 0
 
     def solve(self, goal):
         """Truth of a ground atom in the least model."""
-        key = self._intern(goal, dependent=None)
+        key = self._key(self._atom(goal), {})
+        self._intern(key, dependent=None)
         self.pending.append(key)
         self._run()
         return self.table[key]
 
-    def _intern(self, atom, dependent):
-        key = render_expr(atom)
+    def _id(self, node):
+        i = self.ids.get(node)
+        if i is None:
+            i = self.ids[node] = len(self.nodes)
+            self.nodes.append(node)
+        return i
+
+    def _template(self, e):
+        """The id of a ground term; else a variable's name, or a pair of
+        the templates of an application's function and argument."""
+        if isinstance(e, Var):
+            return e.name
+        if isinstance(e, App):
+            fn, arg = self._template(e.fn), self._template(e.arg)
+            if type(fn) is int and type(arg) is int:
+                return self._id((fn, arg))
+            return (fn, arg)
+        return self._id(("p" if isinstance(e, Pred) else "c", e.name))
+
+    def _atom(self, e):
+        """A body atom as (pred name, head template, arg templates, sorted
+        variable names).  The name is "=" for an equation and None when the
+        head is not a predicate constant."""
+        names = sorted({v.name for v in expr_vars(e)})
+        if isinstance(e, Eq):
+            return ("=", None, (self._template(e.left),
+                                self._template(e.right)), names)
+        head, args = app_spine(e)
+        return (head.name if isinstance(head, Pred) else None,
+                self._template(head), [self._template(a) for a in args], names)
+
+    def _ground(self, t, subst):
+        if type(t) is int:
+            return t
+        if type(t) is str:
+            return subst[t]
+        return self._id((self._ground(t[0], subst), self._ground(t[1], subst)))
+
+    def _key(self, atom, subst):
+        """The table key of a body atom whose variables `subst` binds."""
+        name, head, args, _ = atom
+        ids = [self._ground(a, subst) for a in args]
+        if name is not None:
+            return (name, *ids)
+        node, spine = self.nodes[self._ground(head, subst)], []
+        while type(node[0]) is int:
+            spine.append(node[1])
+            node = self.nodes[node[0]]
+        if node[0] != "p":
+            raise EngineError("goal head is not a predicate constant: %s"
+                              % node[1])
+        return (node[1], *reversed(spine), *ids)
+
+    def _render(self, key):
+        """A goal's text, for traces."""
+        expr = self._expr
+        if key[0] == "=":
+            return render_expr(Eq(expr(key[1]), expr(key[2])))
+        atom = Pred(key[0])
+        for i in key[1:]:
+            atom = App(atom, expr(i))
+        return render_expr(atom)
+
+    def _expr(self, i):
+        fn, arg = self.nodes[i]
+        if type(fn) is int:
+            return App(self._expr(fn), self._expr(arg))
+        return (Pred if fn == "p" else Const)(arg)
+
+    def _intern(self, key, dependent):
         if dependent is not None:
-            self.deps.setdefault(key, set()).add(dependent)
+            self.deps.setdefault(key, {})[dependent] = None
         if key not in self.table:
             self.table[key] = False
-            self.goal_exprs[key] = atom
             self.pending.append(key)
             if self.cfg.trace:
-                print("%s -> false @%d" % (key, self.steps), file=sys.stderr)
-        return key
+                print("%s -> false @%d" % (self._render(key), self.steps),
+                      file=sys.stderr)
 
     def _run(self):
         while self.pending:
@@ -481,24 +536,20 @@ class DemandEngine:
             self.steps += 1
             if self.steps > self.cfg.step_budget:
                 raise BudgetExhaustedError("unknown: budget")
-            if self._eval_goal(key, self.goal_exprs[key]):
+            if self._eval_goal(key):
                 self.table[key] = True
                 if self.cfg.trace:
-                    print("%s -> true @%d" % (key, self.steps),
+                    print("%s -> true @%d" % (self._render(key), self.steps),
                           file=sys.stderr)
                 for d in self.deps.get(key, ()):
                     if not self.table[d]:
                         self.pending.append(d)
 
-    def _eval_goal(self, key, atom):
-        if isinstance(atom, Eq):
-            return atom.left == atom.right
-        head, args = app_spine(atom)
-        if not isinstance(head, Pred):
-            raise EngineError("goal head is not a predicate constant: %r" % (head,))
-        for cl in self.clauses.get(head.name, ()):
-            subst = {f.name: a for f, a in zip(cl.formals, args)}
-            if self._solve_atoms(key, list(cl.body), subst):
+    def _eval_goal(self, key):
+        if key[0] == "=":
+            return key[1] == key[2]
+        for formals, body in self.clauses.get(key[0], ()):
+            if self._solve_atoms(key, body, dict(zip(formals, key[1:]))):
                 return True
         return False
 
@@ -508,45 +559,34 @@ class DemandEngine:
         # prefer an equality that can bind or be decided immediately
         pick = 0
         for i, a in enumerate(atoms):
-            if isinstance(a, Eq):
-                l = _subst_expr(a.left, subst)
-                r = _subst_expr(a.right, subst)
-                if isinstance(l, Const) or isinstance(r, Const):
-                    pick = i
-                    break
-            else:
+            if a[0] != "=" or any(type(t) is int or t in subst for t in a[2]):
                 pick = i
                 break
-        atom = _subst_expr(atoms[pick], subst)
+        atom = atoms[pick]
         rest = atoms[:pick] + atoms[pick + 1:]
-        if isinstance(atom, Eq):
-            l, r = atom.left, atom.right
-            if isinstance(l, Const) and isinstance(r, Const):
-                return l == r and self._solve_atoms(key, rest, subst)
-            if isinstance(l, Var) and isinstance(r, Const):
-                s = dict(subst)
-                s[l.name] = r
-                return self._solve_atoms(key, rest, s)
-            if isinstance(r, Var) and isinstance(l, Const):
-                s = dict(subst)
-                s[r.name] = l
-                return self._solve_atoms(key, rest, s)
+        if atom[0] == "=":
+            l, r = atom[2]
+            lv = l if type(l) is int else subst.get(l)
+            rv = r if type(r) is int else subst.get(r)
+            if lv is not None and rv is not None:
+                return lv == rv and self._solve_atoms(key, rest, subst)
+            if rv is not None:
+                return self._solve_atoms(key, rest, {**subst, l: rv})
+            if lv is not None:
+                return self._solve_atoms(key, rest, {**subst, r: lv})
             # both sides unbound individual variables: enumerate one
             for c in self.universe:
-                s = dict(subst)
-                s[l.name] = Const(c)
-                if self._solve_atoms(key, atoms, s):
+                if self._solve_atoms(key, atoms, {**subst, l: c}):
                     return True
             return False
-        free = set()
-        _free_vars(atom, free)
-        free = sorted(free)
+        free = [v for v in atom[3] if v not in subst]
         for assignment in itertools.product(self.universe, repeat=len(free)):
-            bound = dict(subst)
-            ext = {v: Const(c) for v, c in zip(free, assignment)}
-            bound.update(ext)
-            ground = _subst_expr(atom, ext)
-            sub = self._intern(ground, dependent=key)
+            bound = subst
+            if free:
+                bound = dict(subst)
+                bound.update(zip(free, assignment))
+            sub = self._key(atom, bound)
+            self._intern(sub, dependent=key)
             if self.table[sub] and self._solve_atoms(key, rest, bound):
                 return True
         return False

@@ -98,11 +98,16 @@ def test_crash_is_not_a_verdict(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--d", "0"], "error: d must be >= 1"),
-    (["--order", "0"], "error: higher-order simulation requires k >= 2")],
+    (["--order", "0"], "error: order must be >= 1")],
     ids=["d0", "order0"])
 def test_compile_tm_rejects_bad_parameters(parity_tm, flags, message, capsys):
     assert main(["compile-tm", parity_tm] + flags) == 3
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_crosscheck_rejects_order_0(parity_tm, capsys):
+    assert main(["crosscheck", parity_tm, "--order", "0"]) == 3
+    assert capsys.readouterr().err == "error: order must be >= 1\n"
 
 
 def test_crosscheck_budget_exit_code(parity_tm, capsys):

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import C, P, analyzed_corpus, ap, ground_goals, truth_in_model
+from hodatalog.codegen import compile_tm_higher_order
+from hodatalog.core import Eq, Pred
+from hodatalog.encode import encode_input, merge
 from hodatalog.engines import (BudgetExhaustedError, DemandEngine,
                                EngineConfig, EngineError, decide,
                                least_model_seminaive)
 from hodatalog.semantics import Bool, Ind, least_model_naive
+from hodatalog.tm import sample_machine
 from hodatalog.typecheck import analyze, infer_types
 
 
@@ -62,6 +70,27 @@ def test_seminaive_matches_naive_on_random_programs(text):
     naive = least_model_naive(prog)
     assert semi.interpretation == naive.interpretation
     assert semi.iterations == naive.iterations
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_clause(), min_size=1, max_size=6).map(" ".join))
+@example("e a b. e b a. e b b. "
+         "u X :- (e X X). "                 # repeated variable
+         "t X Y Z :- (u X), (Y = Z). "      # equality with both sides unbound
+         "z :- (X = Y), (u X). "            # unbound equality before an atom
+         "z :- (t a a a).")                 # 0-ary head
+@example("e a b. e b b. "
+         "u X :- (X = Y), (e Y Y). "        # equality binding its right side
+         "z :- (Y = a), (e Y Y).")          # ... and its left side
+def test_demand_matches_naive_on_random_programs(text):
+    prog, report = analyze(text)
+    assert report.ok, report.violations
+    model = least_model_naive(prog).interpretation
+    eng = DemandEngine(prog)
+    consts = [C(c) for c in prog.constants]
+    goals = ground_goals(prog) + [Eq(x, y) for x in consts for y in consts]
+    for goal in goals:
+        assert eng.solve(goal) == truth_in_model(goal, model), goal
 
 
 def test_seminaive_budget_counts_every_derived_tuple():
@@ -148,3 +177,47 @@ def test_trace_output(capsys):
     captured = capsys.readouterr()
     assert "p a -> true" in captured.err
     assert captured.out == ""
+
+
+def test_trace_renders_closure_goals(capsys):
+    prog, _ = analyze("f a. twice R X :- (R X), (R X). "
+                      "apply F X :- (F X).")
+    eng = DemandEngine(prog, EngineConfig(trace=True))
+    assert eng.solve(ap(P("twice"), P("f"), C("a")))
+    assert eng.solve(ap(P("apply"), ap(P("twice"), P("f")), C("a")))
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    for goal in ("f a", "twice f a", "apply (twice f) a"):
+        assert any(line.startswith(goal + " -> true @") for line in lines)
+    assert captured.out == ""
+
+
+def test_demand_counters_do_not_depend_on_hash_seed():
+    script = ("from hodatalog.codegen import compile_tm_higher_order\n"
+              "from hodatalog.core import Pred\n"
+              "from hodatalog.encode import encode_input, merge\n"
+              "from hodatalog.engines import DemandEngine\n"
+              "from hodatalog.tm import sample_machine\n"
+              "prog = compile_tm_higher_order(sample_machine('parity'), 3, 1)\n"
+              "eng = DemandEngine(merge(prog, encode_input('aa')))\n"
+              "eng.solve(Pred('accept'))\n"
+              "print(eng.steps, len(eng.table))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path,
+                         "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+
+
+def test_demand_growth_k2_parity():
+    # goals interned per input length n at k=2 d=1: the shape of the
+    # engine's growth, which later changes to the engine must not worsen
+    prog = compile_tm_higher_order(sample_machine("parity"), 2, 1)
+    for w, goals in (("aa", 710), ("aaa", 1486), ("aaaa", 4681)):
+        eng = DemandEngine(merge(prog, encode_input(w)))
+        eng.solve(Pred("accept"))
+        assert len(eng.table) == goals, w
+        assert eng.steps <= 1.5 * goals, w
