@@ -10,9 +10,10 @@
 * DemandEngine: demand-driven tabled evaluation for higher-order
   programs.  Ground terms are hash-consed into int ids, clause bodies are
   compiled once into templates over them, and a ground goal is memoized
-  under (pred name, arg id, ...).  The table is driven to a least fixpoint
-  by propagating false-to-true flips to recorded dependents, in the order
-  they were recorded.  No monotone domain is ever enumerated.  Trace
+  under (pred name, arg id, ...); facts are indexed rows of ids, and an
+  atom of a predicate given only by facts is looked up, never tabled.
+  The table is driven to a least fixpoint by propagating false-to-true
+  flips to recorded dependents, in the order they were recorded.  Trace
   lines, rendered from the ids, go to stderr.
 * decide: the accept/reject entry point.  It and the CLI's crosscheck go
   through `_run_engine`, the one place that picks an engine by name.
@@ -421,6 +422,9 @@ class DemandEngine:
     grounding a body atom walks only the clause-sized template.  A goal's
     table key is (pred name, arg id, ...), or ("=", left id, right id) for
     an equation; closure-headed atoms flatten through the id table.
+    Facts (`p a b.`) become rows of ids.  An atom of a predicate with facts
+    and no rules binds its free variables from an index of the rows and is
+    never tabled; any other atom tries each constant for its free ones.
     Entries start false and may flip to true exactly once; a flip
     re-enqueues the goals recorded as depending on it, in the order they
     were recorded, so the stable table is the least fixpoint over the
@@ -433,19 +437,26 @@ class DemandEngine:
         self.ids = {}  # node -> id
         self.universe = [self._id(("c", c)) for c in herbrand_universe(prog)]
         self.clauses = {}  # pred -> [(formal names, body atoms), ...]
+        self.facts = {}  # pred -> {row of arg ids: None}, in insertion order
         for cl in prog.clauses:
-            self.clauses.setdefault(cl.head, []).append(
-                ([f.name for f in cl.formals], [self._atom(b) for b in cl.body]))
+            formals = [f.name for f in cl.formals]
+            body = [self._atom(b) for b in cl.body]
+            row = _fact_row(formals, body)
+            if row is None:
+                self.clauses.setdefault(cl.head, []).append((formals, body))
+            else:
+                self.facts.setdefault(cl.head, {})[row] = None
+        self.extensional = self.facts.keys() - self.clauses.keys()
+        self.indexes = {}  # (pred, key positions) -> {key: [row, ...]}
         self.table = {}
         self.deps = {}  # key -> {dependent key: None}, in insertion order
         self.pending = deque()
         self.steps = 0
 
     def solve(self, goal):
-        """Truth of a ground atom in the least model."""
+        """A ground atom's truth in the least model; tabled goals are final."""
         key = self._key(self._atom(goal), {})
         self._intern(key, dependent=None)
-        self.pending.append(key)
         self._run()
         return self.table[key]
 
@@ -545,9 +556,28 @@ class DemandEngine:
                     if not self.table[d]:
                         self.pending.append(d)
 
+    def _rows(self, pred, args, subst):
+        """The fact rows of pred that match the args `subst` grounds, from an
+        index on those positions built the first time it is needed, and the
+        (position, name) of each variable `subst` leaves free."""
+        vals = [None if type(t) is str and t not in subst
+                else self._ground(t, subst) for t in args]
+        bound = tuple(pos for pos, v in enumerate(vals) if v is not None)
+        rows = self.facts[pred]
+        if bound:
+            idx = self.indexes.get((pred, bound))
+            if idx is None:
+                idx = self.indexes[pred, bound] = {}
+                _extend(idx, bound, rows)
+            rows = idx.get(itemgetter(*bound)(vals), ())
+        return rows, [(pos, t) for pos, t in enumerate(args)
+                      if vals[pos] is None]
+
     def _eval_goal(self, key):
         if key[0] == "=":
             return key[1] == key[2]
+        if key[1:] in self.facts.get(key[0], ()):
+            return True
         for formals, body in self.clauses.get(key[0], ()):
             if self._solve_atoms(key, body, dict(zip(formals, key[1:]))):
                 return True
@@ -579,6 +609,17 @@ class DemandEngine:
                 if self._solve_atoms(key, atoms, {**subst, l: c}):
                     return True
             return False
+        if atom[0] in self.extensional:
+            # facts never change, so the atom needs no table entry and no
+            # dependency edge: bind its free variables from the matching rows
+            rows, free = self._rows(atom[0], atom[2], subst)
+            for row in rows:
+                bound = dict(subst) if free else subst
+                # a repeated variable must meet one value at every position
+                if all(bound.setdefault(v, row[p]) == row[p] for p, v in free):
+                    if self._solve_atoms(key, rest, bound):
+                        return True
+            return False
         free = [v for v in atom[3] if v not in subst]
         for assignment in itertools.product(self.universe, repeat=len(free)):
             bound = subst
@@ -590,6 +631,15 @@ class DemandEngine:
             if self.table[sub] and self._solve_atoms(key, rest, bound):
                 return True
         return False
+
+
+def _fact_row(formals, body):
+    """The arg ids of a fact, a clause whose body only equates each formal
+    once with a ground id (as `p a b.` is lowered); else None."""
+    row = dict(a[2] for a in body if a[0] == "=" and type(a[2][1]) is int)
+    if len(row) == len(body) == len(formals) and row.keys() == set(formals):
+        return tuple(row[f] for f in formals)
+    return None
 
 
 # ---------------------------------------------------------------------------

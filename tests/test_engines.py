@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import C, P, analyzed_corpus, ap, ground_goals, truth_in_model
-from hodatalog.codegen import compile_tm_higher_order
+from hodatalog.codegen import compile_tm_first_order, compile_tm_higher_order
 from hodatalog.core import Eq, Pred
 from hodatalog.encode import encode_input, merge
 from hodatalog.engines import (BudgetExhaustedError, DemandEngine,
-                               EngineConfig, EngineError, decide,
-                               least_model_seminaive)
+                               EngineConfig, EngineError, _seminaive_fixpoint,
+                               decide, least_model_seminaive)
 from hodatalog.semantics import Bool, Ind, least_model_naive
 from hodatalog.tm import sample_machine
 from hodatalog.typecheck import analyze, infer_types
@@ -82,6 +82,16 @@ def test_seminaive_matches_naive_on_random_programs(text):
 @example("e a b. e b b. "
          "u X :- (X = Y), (e Y Y). "        # equality binding its right side
          "z :- (Y = a), (e Y Y).")          # ... and its left side
+@example("e a b. u b. "
+         "e X Y :- (u X). "                 # facts and rules for one predicate
+         "z :- (e b a).")
+@example("e a b. e b a. "
+         "u X :- (e X X). "                 # extensional, repeated variable
+         "z :- (e X X).")                   # ... free there: no row matches
+@example("e a b. e b c. e c c. "
+         "u Y :- (e a Y). "                 # extensional, a constant
+         "t X Y Z :- (e a W), (e W X). "    # ... and a free variable
+         "z :- (e X Y).")                   # ... every argument unbound
 def test_demand_matches_naive_on_random_programs(text):
     prog, report = analyze(text)
     assert report.ok, report.violations
@@ -91,6 +101,20 @@ def test_demand_matches_naive_on_random_programs(text):
     goals = ground_goals(prog) + [Eq(x, y) for x in consts for y in consts]
     for goal in goals:
         assert eng.solve(goal) == truth_in_model(goal, model), goal
+
+
+def test_demand_reaches_facts_through_closures():
+    # `R a` with R = e, and `F b` with F = e a, both end at e's fact rows
+    prog, report = analyze("e a b. e b b. u a. "
+                           "q R :- (R a). r F :- (F b). "
+                           "s :- (r (e a)). w :- (q u), (r (e b)).")
+    assert report.ok, report.violations
+    model = least_model_naive(prog).interpretation
+    eng = DemandEngine(prog)
+    partial = [ap(P("r"), ap(P("e"), C(c))) for c in prog.constants]
+    for goal in ground_goals(prog) + partial:
+        assert eng.solve(goal) == truth_in_model(goal, model), goal
+    assert eng.solve(P("s")) and eng.solve(P("w"))
 
 
 def test_seminaive_budget_counts_every_derived_tuple():
@@ -137,6 +161,16 @@ def test_demand_recursive_program():
     eng = DemandEngine(prog)
     assert eng.solve(ap(P("path"), C("a"), C("a")))
     assert eng.solve(ap(P("path"), C("a"), C("b")))
+
+
+def test_demand_root_is_enqueued_once():
+    # q a, p a and r a are tabled; s is given only by facts, so s a is
+    # looked up, not tabled.  Runs: q, p, r (true), p (true), q (true).
+    prog, _ = analyze("q X :- (p X). p X :- (r X). r X :- (s X). s a.")
+    eng = DemandEngine(prog)
+    assert eng.solve(ap(P("q"), C("a")))
+    assert len(eng.table) == 3
+    assert eng.steps == 5
 
 
 def test_demand_table_reuse():
@@ -216,8 +250,33 @@ def test_demand_growth_k2_parity():
     # goals interned per input length n at k=2 d=1: the shape of the
     # engine's growth, which later changes to the engine must not worsen
     prog = compile_tm_higher_order(sample_machine("parity"), 2, 1)
-    for w, goals in (("aa", 710), ("aaa", 1486), ("aaaa", 4681)):
+    for w, goals in (("aa", 400), ("aaa", 1011), ("aaaa", 3997)):
         eng = DemandEngine(merge(prog, encode_input(w)))
         eng.solve(Pred("accept"))
         assert len(eng.table) == goals, w
         assert eng.steps <= 1.5 * goals, w
+
+
+def test_demand_chain_growth():
+    # a cold path c0 c(N-1) on an N-node chain tables one goal per source
+    # node, because edge atoms bind Z from the fact index; enumerating the
+    # universe for Z would table N times as many
+    for n in (25, 50, 100):
+        facts = " ".join("edge c%d c%d." % (i, i + 1) for i in range(n - 1))
+        prog, _ = analyze(facts + " path X Y :- (edge X Y). "
+                          "path X Y :- (edge X Z), (path Z Y).")
+        eng = DemandEngine(prog)
+        assert eng.solve(ap(P("path"), C("c0"), C("c%d" % (n - 1))))
+        assert len(eng.table) == n - 1, n
+        assert eng.steps <= 2 * len(eng.table), n
+
+
+def test_seminaive_growth_fo_parity():
+    # rounds and tuples of FO parity at d=2: tuples grow as simulated
+    # steps times tape cells, about 1.6 * n^4
+    prog = compile_tm_first_order(sample_machine("parity"), 2)
+    for n, rounds, tuples in ((8, 129, 6625), (12, 289, 32141)):
+        total, got = _seminaive_fixpoint(
+            merge(prog, encode_input("a" * n)), EngineConfig())
+        assert got == rounds, n
+        assert sum(map(len, total.values())) == tuples, n
