@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from .codegen import (GenerationError, compile_tm_first_order,
                       compile_tm_higher_order, emit_hodl)
-from .core import BudgetExhaustedError, HodlError, expk
+from .core import (BudgetExhaustedError, HodlError, compute_stats, expk,
+                   iteration_bound)
 from .encode import ALPHABET, encode_input, merge
 from .engines import EngineConfig, _run_engine, decide
 from .semantics import dump_model, least_model_naive
@@ -148,13 +149,23 @@ def _all_strings(max_len):
 
 
 def crosscheck_row(prog, machine, w, k, d, budget):
+    """One report row.  At k=1 the row also fails, with a line on stderr,
+    if seminaive takes more rounds than the paper's bound p*(n+c)^t."""
     oracle = tm_run(machine, w, _sim_bound(k, d, len(w)))
     cfg = EngineConfig(engine="seminaive" if k == 1 else "demand",
                        step_budget=budget)
-    accept, steps, unit = _run_engine(merge(prog, encode_input(w)), cfg)
+    merged = merge(prog, encode_input(w))
+    accept, steps, unit = _run_engine(merged, cfg)
     verdict = "accept" if accept else "reject"
     oracle_verdict = "accept" if oracle.accepted else "reject"
-    return (w, oracle_verdict, verdict, verdict == oracle_verdict, steps, unit)
+    agree = verdict == oracle_verdict
+    if k == 1:
+        bound = iteration_bound(compute_stats(merged), len(w), 1)
+        if steps > bound:
+            print("error: %r took %d rounds, over the bound p*(n+c)^t = %d"
+                  % (w, steps, bound), file=sys.stderr)
+            agree = False
+    return (w, oracle_verdict, verdict, agree, steps, unit)
 
 
 def _row_worker(packed):

@@ -1,12 +1,14 @@
 """Production evaluation engines.
 
 * least_model_seminaive: delta-driven bottom-up evaluation for first-order
-  programs (all relations over individuals).  Each rule body is compiled,
-  once per call and once per delta focus, into a static join plan whose
-  steps read and write a list of variable slots.  Probes go through one
-  hash index per (predicate, bound positions), built the first time a plan
-  needs it and extended with every round's new tuples; a probe that binds
-  every position tests the relation itself.
+  programs (all relations over individuals).  Each rule shape (a rule with
+  its names numbered out) is planned once per process and delta focus
+  into a static join order over variable slots, emitted as Python source
+  of nested loops and compiled; a run binds the code to its relations,
+  indexes and constants.  Probes go through one hash index per
+  (predicate, bound positions), built the first time a plan needs it and
+  extended with every round's new tuples; a probe that binds every
+  position tests the relation itself.
 * DemandEngine: demand-driven tabled evaluation for higher-order
   programs.  Ground terms are hash-consed into int ids, clause bodies are
   compiled once into templates over them, and a ground goal is memoized
@@ -21,6 +23,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from collections import deque
@@ -55,31 +58,37 @@ class EngineConfig:
 # ---------------------------------------------------------------------------
 # Semi-naive engine (first-order)
 
-def _compile_atom(e):
-    if isinstance(e, Eq):
-        return ("eq", _term(e.left), _term(e.right))
-    h, args = app_spine(e)
-    if not isinstance(h, Pred):
-        raise EngineError("non-predicate atom head in first-order clause")
-    return ("pred", h.name, [_term(a) for a in args])
+def _shape(cl):
+    """A first-order rule with its names taken out: (key, body predicate
+    names, constants).
 
+    The key is (formals, atoms, number of constants).  Variables and
+    constants are numbered by first occurrence, ("v", i) and ("c", j); an
+    atom is ("eq", left, right) or ("pred", terms), its predicate the name
+    at its index.  Rules that differ only in names share a key and a plan.
+    """
+    var, const, preds, atoms = {}, {}, [], []
 
-def _term(e):
-    if isinstance(e, Var):
-        return ("v", e.name)
-    if isinstance(e, (Const, Pred)):
-        return ("c", e.name)
-    raise EngineError("nested application in first-order atom argument")
+    def term(e):
+        if isinstance(e, Var):
+            return ("v", var.setdefault(e.name, len(var)))
+        if isinstance(e, (Const, Pred)):
+            return ("c", const.setdefault(e.name, len(const)))
+        raise EngineError("nested application in first-order atom argument")
 
-
-def _tuple_of(slots):
-    """Function reading the given positions of a sequence as a tuple."""
-    if not slots:
-        return lambda seq: ()
-    if len(slots) == 1:
-        s = slots[0]
-        return lambda seq: (seq[s],)
-    return itemgetter(*slots)
+    for b in cl.body:
+        if isinstance(b, Eq):
+            preds.append(None)
+            atoms.append(("eq", term(b.left), term(b.right)))
+            continue
+        h, args = app_spine(b)
+        if not isinstance(h, Pred):
+            raise EngineError("non-predicate atom head in first-order clause")
+        preds.append(h.name)
+        atoms.append(("pred", tuple(map(term, args))))
+    formals = tuple(("v", var.setdefault(f.name, len(var)))
+                    for f in cl.formals)
+    return (formals, tuple(atoms), len(const)), preds, tuple(const)
 
 
 class _Slots:
@@ -90,29 +99,20 @@ class _Slots:
     one step writes are consecutive.
     """
 
-    def __init__(self, atoms):
-        self.template = []
-        self.of = {}
-        for atom in atoms:
-            for t in (atom[1:] if atom[0] == "eq" else atom[2]):
-                if t[0] == "c" and t not in self.of:
-                    self.of[t] = len(self.template)
-                    self.template.append(t[1])
-
-    def known(self, term):
-        return term in self.of
+    def __init__(self, consts):
+        self.of = {("c", j): j for j in range(consts)}
+        self.n = consts
 
     def fresh(self, term=None):
-        slot = len(self.template)
-        self.template.append(None)
+        self.n += 1
         if term is not None:
-            self.of[term] = slot
-        return slot
+            self.of[term] = self.n - 1
+        return self.n - 1
 
 
-def _match_step(kind, atom, slots):
-    """A step reading the rows of one relation:
-    (kind, pred, key positions, key slots, output positions, first output
+def _match_step(kind, i, atom, slots):
+    """A step reading the rows of body atom i:
+    (kind, i, key positions, key slots, output positions, first output
     slot, checks).
 
     Outside the delta focus, the positions holding a constant or an
@@ -121,20 +121,20 @@ def _match_step(kind, atom, slots):
     that slot the variable's; a repeated variable, or a constant in the
     focus, adds a check that the slot equals the one it must match.
     """
-    name, args = atom[1], atom[2]
+    args = atom[1]
     key_pos, key_slots = [], []
     if kind != "delta":
         for pos, t in enumerate(args):
-            if slots.known(t):
+            if t in slots.of:
                 key_pos.append(pos)
                 key_slots.append(slots.of[t])
-    lo = len(slots.template)
+    lo = slots.n
     out_pos, checks = [], []
     for pos, t in enumerate(args):
         if pos in key_pos:
             continue
         out_pos.append(pos)
-        if slots.known(t):
+        if t in slots.of:
             checks.append((slots.of[t], slots.fresh()))
         else:
             slots.fresh(t)
@@ -143,7 +143,7 @@ def _match_step(kind, atom, slots):
             kind = "member"
         elif not key_pos:
             kind = "scan"
-    return (kind, name, tuple(key_pos), key_slots, out_pos, lo, checks)
+    return (kind, i, tuple(key_pos), key_slots, out_pos, lo, checks)
 
 
 def _plan(atoms, focus, formals, slots):
@@ -155,42 +155,137 @@ def _plan(atoms, focus, formals, slots):
     remain, the left variable of the first one is enumerated over the
     universe.  Which positions are bound depends only on the earlier
     steps, never on tuple values, so the order is fixed before any tuple
-    is read.  The last step emits the head, enumerating the formals the
-    body leaves unbound.
+    is read.  Then the formals the body leaves unbound are enumerated, and
+    the last step emits the head.
     """
-    work = list(atoms)
+    work = list(range(len(atoms)))
     steps = []
     if focus is not None:
-        steps.append(_match_step("delta", work.pop(focus), slots))
+        work.remove(focus)
+        steps.append(_match_step("delta", focus, atoms[focus], slots))
     while work:
         pick, best = None, -1
-        for i, atom in enumerate(work):
+        for i in work:
+            atom = atoms[i]
             if atom[0] == "eq":
-                if slots.known(atom[1]) or slots.known(atom[2]):
+                if atom[1] in slots.of or atom[2] in slots.of:
                     pick = i
                     break
             else:
-                bound = sum(1 for t in atom[2] if slots.known(t))
+                bound = sum(1 for t in atom[1] if t in slots.of)
                 if bound > best:
                     pick, best = i, bound
         if pick is None:
-            steps.append(("enum", slots.fresh(work[0][1])))
+            steps.append(("enum", slots.fresh(atoms[work[0]][1])))
             continue
-        atom = work.pop(pick)
+        work.remove(pick)
+        atom = atoms[pick]
         if atom[0] == "pred":
-            steps.append(_match_step("probe", atom, slots))
+            steps.append(_match_step("probe", pick, atom, slots))
             continue
         l, r = atom[1], atom[2]
-        if slots.known(l) and slots.known(r):
+        if l in slots.of and r in slots.of:
             steps.append(("check", slots.of[l], slots.of[r]))
-        elif slots.known(l):
+        elif l in slots.of:
             steps.append(("assign", slots.fresh(r), slots.of[l]))
         else:
             steps.append(("assign", slots.fresh(l), slots.of[r]))
-    free = [slots.fresh(("v", f)) for f in dict.fromkeys(formals)
-            if not slots.known(("v", f))]
-    steps.append(("emit", [slots.of[("v", f)] for f in formals], free))
+    for f in dict.fromkeys(formals):
+        if f not in slots.of:
+            steps.append(("enum", slots.fresh(f)))
+    steps.append(("emit", [slots.of[f] for f in formals]))
     return steps
+
+
+# Blocks one emitted function nests before the rest of the plan moves to
+# another: CPython allows 20 nested loops and 100 indentation levels.
+_MAX_DEPTH = 16
+
+
+def _source(steps, consts):
+    """Python source of `make(R, C, add, tick, budget, universe)`, which
+    binds a plan's resources R (per probe step an index's `get`, per scan
+    or member step a relation) and constants C, and returns `run(rows)`
+    for a plan led by a delta step, else `run()`.
+
+    Slot i is the local `si`.  Each step is a `for` over rows or an `if`,
+    nested in the one before; the innermost block ticks the budget and
+    adds the head tuple.  The source names only slots, positions, steps
+    and its own variables, never a predicate or constant of the program.
+    """
+    *body, (_, formal_slots) = steps
+    lines = ["def make(R, C, add, tick, budget, universe):"]
+    res = [n for n, s in enumerate(body) if s[0] in ("probe", "scan", "member")]
+    lines.append(" %s = R" % _tuple("r%d" % n for n in res))
+    lines.append(" %s = C" % _tuple("s%d" % i for i in range(consts)))
+    lines.append(" def run(%s):" % ("rows" if body and body[0][0] == "delta"
+                                     else ""))
+    depth, bound, calls = 2, consts, 0
+    for n, step in enumerate(body):
+        if depth > _MAX_DEPTH:
+            calls += 1
+            args = ", ".join("s%d" % i for i in range(consts, bound))
+            lines.append(" " * depth + "f%d(%s)" % (calls, args))
+            lines.append(" def f%d(%s):" % (calls, args))
+            depth = 2
+        pad, kind = " " * depth, step[0]
+        if kind == "assign":
+            lines.append(pad + "s%d = s%d" % step[1:])
+            bound = step[1] + 1
+            continue
+        depth += 1
+        if kind == "check":
+            lines.append(pad + "if s%d == s%d:" % step[1:])
+            continue
+        if kind == "enum":
+            lines.append(pad + "for s%d in universe:" % step[1])
+            bound = step[1] + 1
+            continue
+        _, _, key_pos, key_slots, out_pos, lo, checks = step
+        key = ["s%d" % i for i in key_slots]
+        if kind == "member":
+            lines.append(pad + "if %s in r%d:" % (_tuple(key), n))
+            continue
+        bound = lo + len(out_pos)
+        target = ["_"] * (len(key_pos) + len(out_pos))
+        for j, pos in enumerate(out_pos):
+            target[pos] = "s%d" % (lo + j)
+        # "(s1)" is one value, "(s1, s2)" a tuple, as `_extend` keys rows
+        rows = {"delta": "rows", "scan": "r%d" % n,
+                "probe": "r%d((%s), ())" % (n, ", ".join(key))}[kind]
+        lines.append(pad + "for %s in %s:" % (_tuple(target), rows))
+        if checks:
+            lines.append(" " * depth + "if %s:" % " and ".join(
+                "s%d == s%d" % c for c in checks))
+            depth += 1
+    pad = " " * depth
+    lines += [pad + "if tick() > budget:",
+              pad + ' raise BudgetExhaustedError("unknown: budget")',
+              pad + "add(%s)" % _tuple("s%d" % i for i in formal_slots),
+              " return run"]
+    return "\n".join(lines) + "\n"
+
+
+def _tuple(names):
+    """A tuple display or target list of names: "(a, b,)", or "()"."""
+    return "(%s)" % "".join(n + ", " for n in names).rstrip()
+
+
+@functools.lru_cache(maxsize=512)
+def _rule_plans(key):
+    """(focus, steps, factory) for each delta focus of a rule shape (a
+    `_shape` key): every atom that is not an equality, or None when there
+    is none.  Each shape is planned and compiled once per process, for
+    every program it occurs in; the cache holds the 512 latest shapes."""
+    formals, atoms, consts = key
+    foci = [i for i, a in enumerate(atoms) if a[0] == "pred"]
+    out = []
+    for focus in foci or [None]:
+        steps = _plan(atoms, focus, formals, _Slots(consts))
+        ns = {"BudgetExhaustedError": BudgetExhaustedError}
+        exec(compile(_source(steps, consts), "<plan>", "exec"), ns)
+        out.append((focus, steps, ns["make"]))
+    return tuple(out)
 
 
 def _extend(idx, positions, rows):
@@ -203,7 +298,7 @@ class _Joins:
     """Relations, indexes and round output of one seminaive run.
 
     `total[p]` holds the tuples derived for p so far and changes only in
-    place, between rounds, so compiled steps can hold it.  `out[p]`
+    place, between rounds, so a bound plan can hold it.  `out[p]`
     collects the head tuples emitted during a round.  An index maps the
     value at one key position, or the tuple of values at several, to the
     rows having it.
@@ -245,107 +340,18 @@ class _Joins:
                 delta[p] = new
         return delta
 
-    def compile(self, head, steps, template):
-        """Chain a plan's steps into closures over one slot list.
-
-        A plan led by a delta step compiles to a function of the focus
-        rows, any other plan to a function of no arguments.
-        """
-        env = list(template)
-        *body, emit = steps
-        nxt = self._emit(head, emit)
-        focus = body.pop(0) if body and body[0][0] == "delta" else None
-        for step in reversed(body):
-            nxt = self._step(step, nxt)
-        if focus is None:
-            return lambda: nxt(env)
-        _, _, _, _, out_pos, lo, checks = focus
-        hi = lo + len(out_pos)
-        nxt = self._checks(checks, nxt)
-
-        def run(rows):
-            for row in rows:
-                env[lo:hi] = row
-                nxt(env)
-        return run
-
-    def _checks(self, checks, nxt):
-        for a, b in reversed(checks):
-            nxt = self._step(("check", a, b), nxt)
-        return nxt
-
-    def _step(self, step, nxt):
-        kind = step[0]
-        if kind == "check":
-            _, a, b = step
-
-            def check(env):
-                if env[a] == env[b]:
-                    nxt(env)
-            return check
-        if kind == "assign":
-            _, dst, src = step
-
-            def assign(env):
-                env[dst] = env[src]
-                nxt(env)
-            return assign
-        if kind == "enum":
-            universe, slot = self.universe, step[1]
-
-            def enum(env):
-                for c in universe:
-                    env[slot] = c
-                    nxt(env)
-            return enum
-        _, p, key_pos, key_slots, out_pos, lo, checks = step
-        rel = self.rel(p)
-        if kind == "member":
-            key = _tuple_of(key_slots)
-
-            def member(env):
-                if key(env) in rel:
-                    nxt(env)
-            return member
-        hi = lo + len(out_pos)
-        get = _tuple_of(out_pos)
-        nxt = self._checks(checks, nxt)
-        if kind == "scan":
-            def scan(env):
-                for row in rel:
-                    env[lo:hi] = get(row)
-                    nxt(env)
-            return scan
-        idx = self.index(p, key_pos)
-        key = itemgetter(*key_slots)
-
-        def probe(env):
-            for row in idx.get(key(env), ()):
-                env[lo:hi] = get(row)
-                nxt(env)
-        return probe
-
-    def _emit(self, head, step):
-        _, formal_slots, free = step
+    def bind(self, head, preds, consts, steps, make):
+        """A rule's `run` for one plan, over this run's relations and
+        indexes; an index the plan probes is built here if it is new."""
+        res = []
+        for step in steps:
+            if step[0] == "probe":
+                res.append(self.index(preds[step[1]], step[2]).get)
+            elif step[0] in ("scan", "member"):
+                res.append(self.rel(preds[step[1]]))
         self.rel(head)
-        add = self.out[head].add
-        get = _tuple_of(formal_slots)
-        tick, budget = self.tick, self.budget
-        if not free:
-            def emit(env):
-                if tick() > budget:
-                    raise BudgetExhaustedError("unknown: budget")
-                add(get(env))
-            return emit
-        lo, hi, universe = free[0], free[-1] + 1, self.universe
-
-        def emit_all(env):
-            for values in itertools.product(universe, repeat=hi - lo):
-                env[lo:hi] = values
-                if tick() > budget:
-                    raise BudgetExhaustedError("unknown: budget")
-                add(get(env))
-        return emit_all
+        return make(res, consts, self.out[head].add, self.tick, self.budget,
+                    self.universe)
 
 
 def _seminaive_fixpoint(prog, cfg):
@@ -359,33 +365,27 @@ def _seminaive_fixpoint(prog, cfg):
     for p in prog.signatures:
         joins.rel(p)
     seeds = []
-    plans = {}  # focus predicate -> [[head, steps, template, compiled], ...]
+    plans = {}  # focus predicate -> [[head, preds, consts, steps, make, run]]
     for cl in prog.clauses:
-        atoms = [_compile_atom(b) for b in cl.body]
-        formals = [f.name for f in cl.formals]
-        foci = [i for i, a in enumerate(atoms) if a[0] == "pred"]
-        for focus in foci or [None]:
-            slots = _Slots(atoms)
-            plan = [cl.head, _plan(atoms, focus, formals, slots),
-                    slots.template, None]
+        key, preds, consts = _shape(cl)
+        for focus, steps, make in _rule_plans(key):
+            plan = [cl.head, preds, consts, steps, make, None]
             if focus is None:
                 seeds.append(plan)
             else:
-                plans.setdefault(atoms[focus][1], []).append(plan)
+                plans.setdefault(preds[focus], []).append(plan)
 
-    for head, steps, template, _ in seeds:
-        joins.compile(head, steps, template)()
-    delta = joins.end_round()
-    iterations = 1 if delta else 0
+    for plan in seeds:
+        joins.bind(*plan[:5])()
+    delta, iterations = joins.end_round(), 0
     while delta:
+        iterations += 1
         for p, rows in delta.items():
             for plan in plans.get(p, ()):
-                if plan[3] is None:  # first use: build the plan's indexes
-                    plan[3] = joins.compile(*plan[:3])
-                plan[3](rows)
+                if plan[5] is None:  # first use: build the plan's indexes
+                    plan[5] = joins.bind(*plan[:5])
+                plan[5](rows)
         delta = joins.end_round()
-        if delta:
-            iterations += 1
     return joins.total, iterations
 
 

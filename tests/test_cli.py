@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from hodatalog import cli
 from hodatalog.cli import main
 from hodatalog.tm import ACCEPT_ALL, PARITY
 
@@ -159,6 +160,22 @@ def test_crosscheck_first_order(parity_tm, tmp_path, capsys):
     assert len(rows) == 7
     assert all(r["agree"] == "true" for r in rows)
     assert all(r["steps_unit"] == "rounds" for r in rows)
+
+
+def test_crosscheck_fails_rows_over_the_iteration_bound(parity_tm, monkeypatch,
+                                                        capsys):
+    # with the paper's bound p*(n+c)^t forced to 0, every first-order row
+    # takes more rounds than it allows
+    asked = []
+    monkeypatch.setattr(cli, "iteration_bound",
+                        lambda stats, n, k: asked.append((n, k)) or 0)
+    code = main(["crosscheck", parity_tm, "--order", "1", "--d", "2",
+                 "--max-len", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "0/3 agree" in captured.out
+    assert captured.err.count("over the bound p*(n+c)^t = 0") == 3
+    assert sorted(asked) == [(0, 1), (1, 1), (1, 1)]
 
 
 def test_crosscheck_higher_order(tmp_path, capsys):

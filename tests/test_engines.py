@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import C, P, analyzed_corpus, ap, ground_goals, truth_in_model
+from hodatalog import engines
 from hodatalog.codegen import compile_tm_first_order, compile_tm_higher_order
 from hodatalog.core import Eq, Pred
 from hodatalog.encode import encode_input, merge
@@ -115,6 +116,64 @@ def test_demand_reaches_facts_through_closures():
     for goal in ground_goals(prog) + partial:
         assert eng.solve(goal) == truth_in_model(goal, model), goal
     assert eng.solve(P("s")) and eng.solve(P("w"))
+
+
+@pytest.mark.parametrize("n", [40, 120])
+def test_seminaive_long_bodies(n):
+    # every focus of a 40- or 120-atom chain nests more loops than CPython
+    # allows in one function, so the plan's code is split into several
+    body = ", ".join("(e X%d X%d)" % (i, i + 1) for i in range(n))
+    prog, report = analyze("e a b. e b c. e c a. q X0 :- %s." % body)
+    assert report.ok, report.violations
+    q = least_model_seminaive(prog).interpretation["q"]
+    assert q.tuples == {(Ind(c),) for c in "abc"}
+
+
+def test_seminaive_names_never_reach_the_source():
+    # predicates, constants and variables named like Python keywords and
+    # like the emitted code's own names
+    prog, report = analyze(
+        "for def add. for add tick. for tick budget. run make. run budget. "
+        "universe None True :- (for None True). "
+        "universe None False :- (universe None True), (for True False). "
+        "template None :- (universe def None), (run None). "
+        "row :- (template budget). "
+        "if None True :- (run None), (universe True tick), (True = def).")
+    assert report.ok, report.violations
+    semi = least_model_seminaive(prog).interpretation
+    assert semi == least_model_naive(prog).interpretation
+    assert semi["row"] == Bool(True) and len(semi["if"].tuples) == 2
+
+
+def test_seminaive_compiles_each_rule_shape_once(monkeypatch):
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(engines, "compile", counting_compile, raising=False)
+    engines._rule_plans.cache_clear()
+    # one program decided on two inputs: the second brings new input facts
+    # but no new rule shape, so it compiles nothing
+    prog = compile_tm_first_order(sample_machine("parity"), 2)
+    cfg = EngineConfig(engine="seminaive")
+    assert decide(prog, "ab", cfg) == "reject"
+    assert compiled
+    seen = len(compiled)
+    assert decide(prog, "aab", cfg) == "accept"
+    assert len(compiled) == seen
+    # two programs of one shape with different constants: the constants
+    # reach the shared code as arguments, so each gets its own model
+    models = []
+    for text in ("e a b. e b c. q X :- (e a X).",
+                 "e c d. e d a. q X :- (e d X)."):
+        prog, _ = analyze(text)
+        semi = least_model_seminaive(prog).interpretation
+        assert semi == least_model_naive(prog).interpretation
+        models.append(semi["q"].tuples)
+    assert models == [{(Ind("b"),)}, {(Ind("a"),)}]
+    assert len(compiled) == seen + 2  # the first program: e fact, q rule
 
 
 def test_seminaive_budget_counts_every_derived_tuple():
