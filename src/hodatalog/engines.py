@@ -10,13 +10,16 @@
   extended with every round's new tuples; a probe that binds every
   position tests the relation itself.
 * DemandEngine: demand-driven tabled evaluation for higher-order
-  programs.  Ground terms are hash-consed into int ids, clause bodies are
-  compiled once into templates over them, and a ground goal is memoized
-  under (pred name, arg id, ...); facts are indexed rows of ids, and an
-  atom of a predicate given only by facts is looked up, never tabled.
-  The table is driven to a least fixpoint by propagating false-to-true
-  flips to recorded dependents, in the order they were recorded.  Trace
-  lines, rendered from the ids, go to stderr.
+  programs.  Ground terms are hash-consed into int ids, and a ground goal
+  is memoized under (pred name, arg id, ...); facts are indexed rows of
+  ids, and an atom of a predicate given only by facts is looked up, never
+  tabled.  Each clause shape (a rule body with its variables, ids and
+  names numbered out) is planned once per process into a fixed binding
+  order, emitted by the same `_source` as seminaive plans and compiled; a
+  run binds the code to its ids, fact indexes and table.  The table is
+  driven to a least fixpoint by propagating false-to-true flips to
+  recorded dependents, in the order they were recorded.  Trace lines,
+  rendered from the ids without recursion, go to stderr.
 * decide: the accept/reject entry point.  It and the CLI's crosscheck go
   through `_run_engine`, the one place that picks an engine by name.
 """
@@ -35,7 +38,6 @@ from .core import (App, BudgetExhaustedError, Const, Eq, HodlError, OMICRON,
 from .encode import encode_input, merge
 from .semantics import (TRUE, Bool, FixpointResult, Ind, Rel,
                         herbrand_universe, least_model_naive)
-from .syntax import render_expr
 
 
 class EngineError(HodlError):
@@ -180,16 +182,8 @@ def _plan(atoms, focus, formals, slots):
             continue
         work.remove(pick)
         atom = atoms[pick]
-        if atom[0] == "pred":
-            steps.append(_match_step("probe", pick, atom, slots))
-            continue
-        l, r = atom[1], atom[2]
-        if l in slots.of and r in slots.of:
-            steps.append(("check", slots.of[l], slots.of[r]))
-        elif l in slots.of:
-            steps.append(("assign", slots.fresh(r), slots.of[l]))
-        else:
-            steps.append(("assign", slots.fresh(l), slots.of[r]))
+        steps.append(_match_step("probe", pick, atom, slots)
+                     if atom[0] == "pred" else _eq_step(atom, slots))
     for f in dict.fromkeys(formals):
         if f not in slots.of:
             steps.append(("enum", slots.fresh(f)))
@@ -197,41 +191,66 @@ def _plan(atoms, focus, formals, slots):
     return steps
 
 
+def _eq_step(atom, slots):
+    """The step of an equality with a known side: a check when both sides
+    are known, else an assignment to the unknown one."""
+    _, l, r = atom
+    if l in slots.of and r in slots.of:
+        return ("check", slots.of[l], slots.of[r])
+    if l in slots.of:
+        return ("assign", slots.fresh(r), slots.of[l])
+    return ("assign", slots.fresh(l), slots.of[r])
+
+
 # Blocks one emitted function nests before the rest of the plan moves to
 # another: CPython allows 20 nested loops and 100 indentation levels.
 _MAX_DEPTH = 16
 
 
-def _source(steps, consts):
-    """Python source of `make(R, C, add, tick, budget, universe)`, which
-    binds a plan's resources R (per probe step an index's `get`, per scan
-    or member step a relation) and constants C, and returns `run(rows)`
-    for a plan led by a delta step, else `run()`.
+def _source(steps, consts, bound, params, ctx):
+    """Python source of `make(R, C, <params>)`, which binds a plan's
+    resources R (per probe step an index's `get`, per scan or member step
+    a relation) and constants C, and returns `run(<ctx>, ...)`, whose
+    further parameters are the slots from `consts` to `bound`.
 
     Slot i is the local `si`.  Each step is a `for` over rows or an `if`,
-    nested in the one before; the innermost block ticks the budget and
-    adds the head tuple.  The source names only slots, positions, steps
-    and its own variables, never a predicate or constant of the program.
+    nested in the one before, or a line of straight code: an "app" step
+    interns an application with `mk`, and a "call" step tests a subgoal
+    with `call(goal key, key)`.  The last step is the innermost block:
+    "emit" ticks the budget and adds the head tuple, "return" ends the run
+    true.  The source names only slots, positions, steps and its own
+    variables, never a predicate, constant or term of the program.
     """
-    *body, (_, formal_slots) = steps
-    lines = ["def make(R, C, add, tick, budget, universe):"]
-    res = [n for n, s in enumerate(body) if s[0] in ("probe", "scan", "member")]
+    lines = ["def make(R, C, %s):" % params]
+    res = [n for n, s in enumerate(steps) if s[0] in ("probe", "scan", "member")]
     lines.append(" %s = R" % _tuple("r%d" % n for n in res))
     lines.append(" %s = C" % _tuple("s%d" % i for i in range(consts)))
-    lines.append(" def run(%s):" % ("rows" if body and body[0][0] == "delta"
-                                     else ""))
-    depth, bound, calls = 2, consts, 0
-    for n, step in enumerate(body):
+
+    def sig():
+        return ", ".join(ctx + ["s%d" % i for i in range(consts, bound)])
+
+    lines.append(" def run(%s):" % sig())
+    depth, calls = 2, 0
+    for n, step in enumerate(steps):
         if depth > _MAX_DEPTH:
             calls += 1
-            args = ", ".join("s%d" % i for i in range(consts, bound))
-            lines.append(" " * depth + "f%d(%s)" % (calls, args))
-            lines.append(" def f%d(%s):" % (calls, args))
+            lines += [" " * depth + "if f%d(%s):" % (calls, sig()),
+                      " " * depth + " return True",
+                      " def f%d(%s):" % (calls, sig())]
             depth = 2
         pad, kind = " " * depth, step[0]
-        if kind == "assign":
-            lines.append(pad + "s%d = s%d" % step[1:])
+        if kind in ("assign", "app"):
+            lines.append(pad + ("s%d = s%d" if kind == "assign"
+                                else "s%d = mk((s%d, s%d))") % step[1:])
             bound = step[1] + 1
+            continue
+        if kind == "emit":
+            lines += [pad + "if tick() > budget:",
+                      pad + ' raise BudgetExhaustedError("unknown: budget")',
+                      pad + "add(%s)" % _tuple("s%d" % i for i in step[1])]
+            continue
+        if kind == "return":
+            lines.append(pad + "return True")
             continue
         depth += 1
         if kind == "check":
@@ -240,6 +259,15 @@ def _source(steps, consts):
         if kind == "enum":
             lines.append(pad + "for s%d in universe:" % step[1])
             bound = step[1] + 1
+            continue
+        if kind == "call":
+            # a goal key: (name, arg, ...), or a closure's spine and args
+            _, head, args, closure = step
+            sub = _tuple("s%d" % i for i in (args if closure
+                                             else (head, *args)))
+            if closure:
+                sub = "spine(s%d) + %s" % (head, sub)
+            lines.append(pad + "if call(%s, key):" % sub)
             continue
         _, _, key_pos, key_slots, out_pos, lo, checks = step
         key = ["s%d" % i for i in key_slots]
@@ -258,11 +286,7 @@ def _source(steps, consts):
             lines.append(" " * depth + "if %s:" % " and ".join(
                 "s%d == s%d" % c for c in checks))
             depth += 1
-    pad = " " * depth
-    lines += [pad + "if tick() > budget:",
-              pad + ' raise BudgetExhaustedError("unknown: budget")',
-              pad + "add(%s)" % _tuple("s%d" % i for i in formal_slots),
-              " return run"]
+    lines.append(" return run")
     return "\n".join(lines) + "\n"
 
 
@@ -282,10 +306,17 @@ def _rule_plans(key):
     out = []
     for focus in foci or [None]:
         steps = _plan(atoms, focus, formals, _Slots(consts))
-        ns = {"BudgetExhaustedError": BudgetExhaustedError}
-        exec(compile(_source(steps, consts), "<plan>", "exec"), ns)
-        out.append((focus, steps, ns["make"]))
+        ctx = ["rows"] if focus is not None else []
+        out.append((focus, steps, _compile(_source(
+            steps, consts, consts, "add, tick, budget, universe", ctx))))
     return tuple(out)
+
+
+def _compile(source):
+    """The factory `make` that `source` defines."""
+    ns = {"BudgetExhaustedError": BudgetExhaustedError}
+    exec(compile(source, "<plan>", "exec"), ns)
+    return ns["make"]
 
 
 def _extend(idx, positions, rows):
@@ -411,30 +442,128 @@ def least_model_seminaive(prog, cfg=None):
 # ---------------------------------------------------------------------------
 # Demand-driven tabled engine
 
+def _demand_shape(formals, atoms, extensional):
+    """A rule clause of the demand engine with its names taken out: (key,
+    atom predicate names, constants).
+
+    The key is (formals, atoms, number of constants).  Variables are
+    numbered by first occurrence, formals first, as ("v", i); ground ids
+    and the predicate names of tabled atoms share one numbering, ("c", j);
+    an application with variables is ("a", fn, arg).  An atom is ("eq",
+    left, right), ("ext", terms) for a predicate given only by facts, or
+    ("call", head, terms, variables, closure-headed) for any other, its
+    head the name's constant or, closure-headed, a term.  The variables of
+    a call follow the sorted order of their names.
+    """
+    var, const, preds, out = {}, {}, [], []
+
+    def terms(ts):
+        return tuple(_numbered(t, var, const) for t in ts)
+
+    formal_terms = terms(formals)
+    for name, head, args, names in atoms:
+        preds.append(name)
+        if name == "=":
+            out.append(("eq", *terms(args)))
+        elif name in extensional:
+            out.append(("ext", terms(args)))
+        else:
+            head = (_numbered(head, var, const) if name is None
+                    else ("c", const.setdefault(name, len(const))))
+            out.append(("call", head, terms(args), terms(names),
+                        name is None))
+    return (formal_terms, tuple(out), len(const)), preds, tuple(const)
+
+
+def _numbered(t, var, const):
+    """A template with its variables and ids numbered in var and const."""
+    if type(t) is str:
+        return ("v", var.setdefault(t, len(var)))
+    if type(t) is int:
+        return ("c", const.setdefault(t, len(const)))
+    return ("a", _numbered(t[0], var, const), _numbered(t[1], var, const))
+
+
+@functools.lru_cache(maxsize=512)
+def _demand_body(key):
+    """(steps, factory) of a demand clause shape (a `_demand_shape` key).
+
+    The order is fixed before any id is read.  Formals are bound on entry.
+    Then comes, each time, the first atom left that is not an equality or
+    has a known side; when only equalities with both sides unbound remain,
+    the left side of the first is enumerated over the universe.  An "ext"
+    atom binds its free variables from the fact rows that match its bound
+    positions.  A call enumerates its free variables over the universe, in
+    sorted-name order, and goes on where its goal is true.  The factory's
+    `run(key, formal id, ...)` is true once one instance of the body
+    holds, `key` being the goal it runs for.  Each shape is planned and
+    compiled once per process, like `_rule_plans`.
+    """
+    formals, atoms, consts = key
+    slots = _Slots(consts)
+    for f in formals:
+        slots.fresh(f)
+    steps = []
+
+    def ground(t):
+        """The slot of a term whose variables are bound; an application
+        is interned into a slot of its own."""
+        if t[0] == "a" and t not in slots.of:
+            fn, arg = ground(t[1]), ground(t[2])
+            steps.append(("app", slots.fresh(t), fn, arg))
+        return slots.of[t]
+
+    work = list(enumerate(atoms))
+    while work:
+        pick = next((j for j, (_, a) in enumerate(work) if a[0] != "eq"
+                     or a[1] in slots.of or a[2] in slots.of), None)
+        if pick is None:
+            steps.append(("enum", slots.fresh(work[0][1][1])))
+            continue
+        i, atom = work.pop(pick)
+        if atom[0] == "eq":
+            steps.append(_eq_step(atom, slots))
+        elif atom[0] == "ext":
+            for t in atom[1]:
+                if t[0] == "a":
+                    ground(t)
+            steps.append(_match_step("probe", i, atom, slots))
+        else:
+            _, head, terms, variables, closure = atom
+            steps += [("enum", slots.fresh(v)) for v in variables
+                      if v not in slots.of]
+            steps.append(("call", ground(head), [ground(t) for t in terms],
+                          closure))
+    steps.append(("return",))
+    return steps, _compile(_source(steps, consts, consts + len(formals),
+                                   "mk, call, spine, universe", ["key"]))
+
+
 class DemandEngine:
     """Tabled evaluation of ground goals against a fixed program.
 
     Ground terms are hash-consed: each is interned once as an int id, a
     leaf as ("c", name) or ("p", name) and an application as (fn id, arg
-    id), so equal terms have equal ids however deep they are.  Clause
-    bodies are compiled once into templates whose ground subterms are
-    already ids, and a substitution maps variable names to ids, so
-    grounding a body atom walks only the clause-sized template.  A goal's
+    id), so equal terms have equal ids however deep they are.  A goal's
     table key is (pred name, arg id, ...), or ("=", left id, right id) for
-    an equation; closure-headed atoms flatten through the id table.
-    Facts (`p a b.`) become rows of ids.  An atom of a predicate with facts
-    and no rules binds its free variables from an index of the rows and is
-    never tabled; any other atom tries each constant for its free ones.
-    Entries start false and may flip to true exactly once; a flip
-    re-enqueues the goals recorded as depending on it, in the order they
-    were recorded, so the stable table is the least fixpoint over the
-    discovered goals.
+    an equation; a closure-headed goal flattens through the id table.
+    Facts (`p a b.`) become rows of ids, checked before a goal's rules.
+    Each rule body is planned once per clause shape (`_demand_body`) and
+    runs as compiled Python code bound to this engine's ids, facts and
+    table: an atom of a predicate with facts and no rules binds its free
+    variables from an index of the rows and is never tabled; any other
+    atom tries each constant for its free ones and is looked up as a
+    subgoal, recording the dependency.  Entries start false and may flip
+    to true exactly once; a flip re-enqueues the goals recorded as
+    depending on it, in the order they were recorded, so the stable table
+    is the least fixpoint over the discovered goals.
     """
 
     def __init__(self, prog, cfg=None):
         self.cfg = cfg or EngineConfig()
         self.nodes = []  # id -> node
         self.ids = {}  # node -> id
+        self.texts = {}  # id -> text, for traces
         self.universe = [self._id(("c", c)) for c in herbrand_universe(prog)]
         self.clauses = {}  # pred -> [(formal names, body atoms), ...]
         self.facts = {}  # pred -> {row of arg ids: None}, in insertion order
@@ -455,8 +584,10 @@ class DemandEngine:
 
     def solve(self, goal):
         """A ground atom's truth in the least model; tabled goals are final."""
-        key = self._key(self._atom(goal), {})
-        self._intern(key, dependent=None)
+        name, head, args, _ = self._atom(goal)
+        key = ((name, *args) if name is not None
+               else self._spine(head) + tuple(args))
+        self._intern(key)
         self._run()
         return self.table[key]
 
@@ -491,47 +622,42 @@ class DemandEngine:
         return (head.name if isinstance(head, Pred) else None,
                 self._template(head), [self._template(a) for a in args], names)
 
-    def _ground(self, t, subst):
-        if type(t) is int:
-            return t
-        if type(t) is str:
-            return subst[t]
-        return self._id((self._ground(t[0], subst), self._ground(t[1], subst)))
-
-    def _key(self, atom, subst):
-        """The table key of a body atom whose variables `subst` binds."""
-        name, head, args, _ = atom
-        ids = [self._ground(a, subst) for a in args]
-        if name is not None:
-            return (name, *ids)
-        node, spine = self.nodes[self._ground(head, subst)], []
+    def _spine(self, i):
+        """The key prefix (pred name, arg id, ...) of the closure id i."""
+        node, spine = self.nodes[i], []
         while type(node[0]) is int:
             spine.append(node[1])
             node = self.nodes[node[0]]
         if node[0] != "p":
             raise EngineError("goal head is not a predicate constant: %s"
                               % node[1])
-        return (node[1], *reversed(spine), *ids)
+        return (node[1], *reversed(spine))
 
     def _render(self, key):
         """A goal's text, for traces."""
-        expr = self._expr
         if key[0] == "=":
-            return render_expr(Eq(expr(key[1]), expr(key[2])))
-        atom = Pred(key[0])
-        for i in key[1:]:
-            atom = App(atom, expr(i))
-        return render_expr(atom)
+            return "(%s = %s)" % (self._text(key[1]), self._text(key[2]))
+        return " ".join([key[0], *map(self._text, key[1:])])
 
-    def _expr(self, i):
-        fn, arg = self.nodes[i]
-        if type(fn) is int:
-            return App(self._expr(fn), self._expr(arg))
-        return (Pred if fn == "p" else Const)(arg)
+    def _text(self, i):
+        """The text of the term with id i as an argument, an application in
+        parentheses.  Texts are kept, and built bottom-up from an explicit
+        stack, since a closure can nest deeper than Python recurses."""
+        texts, todo = self.texts, [i]
+        while todo:
+            node, args = self.nodes[todo[-1]], []
+            while type(node[0]) is int:
+                args.append(node[1])
+                node = self.nodes[node[0]]
+            new = [a for a in args if a not in texts]
+            if new:
+                todo += new
+                continue
+            texts[todo.pop()] = ("(%s %s)" % (node[1], " ".join(
+                texts[a] for a in reversed(args))) if args else node[1])
+        return texts[i]
 
-    def _intern(self, key, dependent):
-        if dependent is not None:
-            self.deps.setdefault(key, {})[dependent] = None
+    def _intern(self, key):
         if key not in self.table:
             self.table[key] = False
             self.pending.append(key)
@@ -539,7 +665,23 @@ class DemandEngine:
                 print("%s -> false @%d" % (self._render(key), self.steps),
                       file=sys.stderr)
 
+    def _call(self, key, dependent):
+        """The entry of a subgoal that the body of the goal `dependent`
+        needs, with the dependency recorded; a new subgoal is interned."""
+        deps = self.deps.get(key)
+        if deps is None:
+            deps = self.deps[key] = {}
+        deps[dependent] = None
+        entry = self.table.get(key)
+        if entry is None:
+            self._intern(key)
+            return False
+        return entry
+
     def _run(self):
+        # pred -> its rules' bodies, bound on first use; they refer to the
+        # engine, so kept on it they would make a cycle for the gc to free
+        bodies = {}
         while self.pending:
             key = self.pending.popleft()
             if self.table[key]:
@@ -547,7 +689,7 @@ class DemandEngine:
             self.steps += 1
             if self.steps > self.cfg.step_budget:
                 raise BudgetExhaustedError("unknown: budget")
-            if self._eval_goal(key):
+            if self._eval_goal(key, bodies):
                 self.table[key] = True
                 if self.cfg.trace:
                     print("%s -> true @%d" % (self._render(key), self.steps),
@@ -556,79 +698,36 @@ class DemandEngine:
                     if not self.table[d]:
                         self.pending.append(d)
 
-    def _rows(self, pred, args, subst):
-        """The fact rows of pred that match the args `subst` grounds, from an
-        index on those positions built the first time it is needed, and the
-        (position, name) of each variable `subst` leaves free."""
-        vals = [None if type(t) is str and t not in subst
-                else self._ground(t, subst) for t in args]
-        bound = tuple(pos for pos, v in enumerate(vals) if v is not None)
-        rows = self.facts[pred]
-        if bound:
-            idx = self.indexes.get((pred, bound))
-            if idx is None:
-                idx = self.indexes[pred, bound] = {}
-                _extend(idx, bound, rows)
-            rows = idx.get(itemgetter(*bound)(vals), ())
-        return rows, [(pos, t) for pos, t in enumerate(args)
-                      if vals[pos] is None]
+    def _bind(self, formals, atoms):
+        """A rule's body, compiled for its shape and bound to this engine;
+        an index of fact rows it probes is built here if it is new."""
+        key, preds, consts = _demand_shape(formals, atoms, self.extensional)
+        steps, make = _demand_body(key)
+        res = []
+        for step in steps:
+            if step[0] in ("scan", "member"):
+                res.append(self.facts[preds[step[1]]])
+            elif step[0] == "probe":
+                pred, positions = preds[step[1]], step[2]
+                idx = self.indexes.get((pred, positions))
+                if idx is None:
+                    idx = self.indexes[pred, positions] = {}
+                    _extend(idx, positions, self.facts[pred])
+                res.append(idx.get)
+        return make(res, consts, self._id, self._call, self._spine,
+                    self.universe)
 
-    def _eval_goal(self, key):
+    def _eval_goal(self, key, bodies):
         if key[0] == "=":
             return key[1] == key[2]
         if key[1:] in self.facts.get(key[0], ()):
             return True
-        for formals, body in self.clauses.get(key[0], ()):
-            if self._solve_atoms(key, body, dict(zip(formals, key[1:]))):
-                return True
-        return False
-
-    def _solve_atoms(self, key, atoms, subst):
-        if not atoms:
-            return True
-        # prefer an equality that can bind or be decided immediately
-        pick = 0
-        for i, a in enumerate(atoms):
-            if a[0] != "=" or any(type(t) is int or t in subst for t in a[2]):
-                pick = i
-                break
-        atom = atoms[pick]
-        rest = atoms[:pick] + atoms[pick + 1:]
-        if atom[0] == "=":
-            l, r = atom[2]
-            lv = l if type(l) is int else subst.get(l)
-            rv = r if type(r) is int else subst.get(r)
-            if lv is not None and rv is not None:
-                return lv == rv and self._solve_atoms(key, rest, subst)
-            if rv is not None:
-                return self._solve_atoms(key, rest, {**subst, l: rv})
-            if lv is not None:
-                return self._solve_atoms(key, rest, {**subst, r: lv})
-            # both sides unbound individual variables: enumerate one
-            for c in self.universe:
-                if self._solve_atoms(key, atoms, {**subst, l: c}):
-                    return True
-            return False
-        if atom[0] in self.extensional:
-            # facts never change, so the atom needs no table entry and no
-            # dependency edge: bind its free variables from the matching rows
-            rows, free = self._rows(atom[0], atom[2], subst)
-            for row in rows:
-                bound = dict(subst) if free else subst
-                # a repeated variable must meet one value at every position
-                if all(bound.setdefault(v, row[p]) == row[p] for p, v in free):
-                    if self._solve_atoms(key, rest, bound):
-                        return True
-            return False
-        free = [v for v in atom[3] if v not in subst]
-        for assignment in itertools.product(self.universe, repeat=len(free)):
-            bound = subst
-            if free:
-                bound = dict(subst)
-                bound.update(zip(free, assignment))
-            sub = self._key(atom, bound)
-            self._intern(sub, dependent=key)
-            if self.table[sub] and self._solve_atoms(key, rest, bound):
+        rules = bodies.get(key[0])
+        if rules is None:
+            rules = bodies[key[0]] = [
+                self._bind(*c) for c in self.clauses.get(key[0], ())]
+        for body in rules:
+            if body(key, *key[1:]):
                 return True
         return False
 

@@ -89,6 +89,24 @@ def test_run_trace_goes_to_stderr(tmp_path, capsys):
     assert "accept -> true" in captured.err
 
 
+def test_run_trace_renders_deep_closure_goals(tmp_path, capsys):
+    # r passes (wrap N) down a 1200-edge chain, so its goals' closure
+    # arguments nest deeper than Python's recursion limit
+    edges = " ".join("step c%d c%d." % (i, i + 1) for i in range(1200))
+    p = tmp_path / "deep.hodl"
+    p.write_text(edges + " last c1200. ok c1200. wrap N X :- (N X). "
+                 "r N X :- (last X), (N X). "
+                 "r N X :- (step X Y), (r (wrap N) Y). "
+                 "accept :- (r ok c0).\n")
+    assert main(["run", str(p), "--engine", "demand", "--trace"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "accept\n"
+    lines = captured.err.splitlines()
+    deepest = "r %sok%s c1200 -> true @" % ("(wrap " * 1200, ")" * 1200)
+    assert any(line.startswith(deepest) for line in lines)
+    assert lines[-1].startswith("accept -> true @")
+
+
 def test_crash_is_not_a_verdict(tmp_path, capsys):
     p = tmp_path / "deep.hodl"
     p.write_text("p " + "(" * 3000 + "a" + ")" * 3000 + ".\n")

@@ -104,6 +104,62 @@ def test_demand_matches_naive_on_random_programs(text):
         assert eng.solve(goal) == truth_in_model(goal, model), goal
 
 
+# Random higher-order programs: q takes a unary predicate and h a binary
+# one, so bodies hold closure-headed atoms on predicate-typed formals
+# ((R X), (S X Y)) and closures passed as arguments, partial applications
+# among them ((q (e a) X), (q (S X) Y)).  f is given only by facts, so its
+# atoms bind from fact rows; repeated variables and equalities with both
+# sides unbound are common.  The directives fix the predicates' types
+# (an unused formal would otherwise be an individual), and two constants
+# keep the naive engine's higher-order domains small.
+HO_HEADS = {"u X": [], "e X Y": [], "z": [],
+            "q R X": ["(R %s)", "(q R %s)"],
+            "h S X": ["(S %s %s)", "(q (S %s) %s)", "(h S %s)"]}
+HO_ATOMS = ["(e %s %s)", "(u %s)", "(f %s %s)", "(%s = %s)", "(q u %s)",
+            "(q (e %s) %s)", "(q (f %s) %s)", "(h e %s)", "(h f %s)"]
+HO_TERMS = st.sampled_from(["X", "Y", "Z", "a", "b"])
+HO_FACTS = ("#pred q : (i -> o) -> i -> o. #pred h : (i -> i -> o) -> i -> o. "
+            "f a b. f b b. e b a. u b.")
+
+
+@st.composite
+def _ho_clause(draw):
+    head = draw(st.sampled_from(sorted(HO_HEADS)))
+    atoms = draw(st.lists(st.sampled_from(HO_ATOMS + HO_HEADS[head]),
+                          min_size=1, max_size=3))
+    body = [a % tuple(draw(HO_TERMS) for _ in range(a.count("%s")))
+            for a in atoms]
+    return "%s :- %s." % (head, ", ".join(body))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ho_clause(), max_size=4).map(
+    lambda clauses: " ".join([HO_FACTS] + clauses)))
+@example(HO_FACTS +
+         "q R X :- (R X). "                 # closure-headed on a formal
+         "z :- (q (e b) a), (q (f a) b).")  # partial applications as args
+@example(HO_FACTS +
+         "q R X :- (f X Y), (R Y). "        # binds Y from a fact row
+         "z :- (q u a).")
+@example(HO_FACTS +
+         "u Y :- (f X X), (X = Y). "        # extensional, repeated variable
+         "h S X :- (Y = Z), (S Y X), (q (S Z) X). "  # unbound equality first
+         "z :- (h f b).")
+@example(HO_FACTS +
+         "e X Y :- (q (f X) Y). "           # closure-headed via a subgoal
+         "q R X :- (q R Y), (e Y X). "      # recursion through a closure
+         "q R X :- (R Y), (Y = X).")
+def test_demand_matches_naive_on_higher_order_programs(text):
+    prog, report = analyze(text)
+    assert report.ok, report.violations
+    model = least_model_naive(prog).interpretation
+    eng = DemandEngine(prog)
+    partial = [ap(P("q"), ap(P(p), C(c)), C(x)) for p in ("e", "f")
+               for c in "ab" for x in "ab"]
+    for goal in ground_goals(prog) + partial:
+        assert eng.solve(goal) == truth_in_model(goal, model), goal
+
+
 def test_demand_reaches_facts_through_closures():
     # `R a` with R = e, and `F b` with F = e a, both end at e's fact rows
     prog, report = analyze("e a b. e b b. u a. "
@@ -174,6 +230,75 @@ def test_seminaive_compiles_each_rule_shape_once(monkeypatch):
         models.append(semi["q"].tuples)
     assert models == [{(Ind("b"),)}, {(Ind("a"),)}]
     assert len(compiled) == seen + 2  # the first program: e fact, q rule
+
+
+@pytest.mark.parametrize("n", [40, 120])
+def test_demand_long_bodies(n):
+    # e has a rule, so every atom of the chain is a subgoal with one free
+    # variable: a loop and a test per atom, more blocks than CPython lets
+    # one function nest, so the body's code is split into several
+    # (the naive engine would try all 4^(n+1) assignments of the body, so
+    # the reference is the seminaive model: a walk of n edges from a, b or
+    # c stays on the cycle, and d has no edge out)
+    body = ", ".join("(e X%d X%d)" % (i, i + 1) for i in range(n))
+    prog, report = analyze("f a b. f b c. f c a. f c d. e X Y :- (f X Y). "
+                           "q X0 :- %s." % body)
+    assert report.ok, report.violations
+    model = least_model_seminaive(prog).interpretation
+    assert model["q"].tuples == {(Ind(c),) for c in "abc"}
+    eng = DemandEngine(prog)
+    for goal in ground_goals(prog):
+        assert eng.solve(goal) == truth_in_model(goal, model), goal
+
+
+def test_demand_names_never_reach_the_source():
+    # predicates, constants and variables named like Python keywords and
+    # like the emitted code's own names
+    prog, report = analyze(
+        "for key def. for def key. row def. "
+        "return X :- (for X True), (row True). "
+        "call X Y :- (for X Y). "
+        "call X Y :- (call X True), (call True Y). "
+        "mk R True :- (R True). "
+        "universe True :- (mk return True), (True = key). "
+        "universe True :- (call True True), (mk universe key).")
+    assert report.ok, report.violations
+    model = least_model_naive(prog).interpretation
+    eng = DemandEngine(prog)
+    for goal in ground_goals(prog):
+        assert eng.solve(goal) == truth_in_model(goal, model), goal
+    assert eng.solve(ap(P("universe"), C("def")))
+
+
+def test_demand_compiles_each_clause_shape_once(monkeypatch):
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(engines, "compile", counting_compile, raising=False)
+    engines._demand_body.cache_clear()
+    # one program decided on two inputs: the second brings new input facts
+    # but no new clause shape, so it compiles nothing
+    prog = compile_tm_higher_order(sample_machine("parity"), 2, 1)
+    assert decide(prog, "aa") == "accept"
+    assert compiled
+    seen = len(compiled)
+    assert decide(prog, "ab") == "reject"
+    assert len(compiled) == seen
+    # two programs of one shape with different names and constants: they
+    # reach the shared code as arguments, so each gets its own answers
+    answers = []
+    for text, head in (
+            ("e a b. e b c. p X Y :- (e X Y). q X :- (p a X).", "q"),
+            ("g c d. g d a. r X Y :- (g X Y). s X :- (r d X).", "s")):
+        prog, _ = analyze(text)
+        eng = DemandEngine(prog)
+        answers.append([c for c in prog.constants
+                        if eng.solve(ap(P(head), C(c)))])
+    assert answers == [["b"], ["a"]]
+    assert len(compiled) == seen + 2  # the first program: p and q rules
 
 
 def test_seminaive_budget_counts_every_derived_tuple():
@@ -314,6 +439,16 @@ def test_demand_growth_k2_parity():
         eng.solve(Pred("accept"))
         assert len(eng.table) == goals, w
         assert eng.steps <= 1.5 * goals, w
+
+
+def test_demand_growth_k3_parity():
+    # goals interned and goal runs at k=3 d=1, n = 1 and 2
+    prog = compile_tm_higher_order(sample_machine("parity"), 3, 1)
+    for w, accept, goals, runs in (("a", False, 240, 318),
+                                   ("aa", True, 2433, 3307)):
+        eng = DemandEngine(merge(prog, encode_input(w)))
+        assert eng.solve(Pred("accept")) == accept, w
+        assert (len(eng.table), eng.steps) == (goals, runs), w
 
 
 def test_demand_chain_growth():
