@@ -18,7 +18,7 @@ from .core import (BudgetExhaustedError, HodlError, compute_stats, expk,
                    iteration_bound)
 from .encode import ALPHABET, encode_input, merge
 from .engines import EngineConfig, _run_engine, decide
-from .semantics import dump_model, least_model_naive
+from .semantics import MAX_PRODUCT, dump_model, least_model_naive
 from .syntax import parse_program
 from .tm import parse_tm, tm_run
 from .typecheck import analyze, infer_types
@@ -217,7 +217,11 @@ def build_parser():
         sp.add_argument("--input", default=None,
                         help="input string over {a,b}; omit for none")
         sp.add_argument("--budget", type=int, default=10 ** 7)
-        sp.add_argument("--cap", type=int, default=1 << 16)
+        sp.add_argument("--cap", type=int, default=1 << 16,
+                        help="naive engine: most elements of a predicate"
+                        " domain, and most argument tuples it ranges over,"
+                        " which is at most %d whatever the cap (E301 past"
+                        " either)" % MAX_PRODUCT)
 
     sp = sub.add_parser("check", help="parse, type and validate a program")
     sp.add_argument("file")

@@ -1,11 +1,13 @@
 """Production evaluation engines.
 
 * least_model_seminaive: delta-driven bottom-up evaluation for first-order
-  programs (all relations over individuals).  Each rule shape (a rule with
-  its names numbered out) is planned once per process and delta focus
-  into a static join order over variable slots, emitted as Python source
-  of nested loops and compiled; a run binds the code to its relations,
-  indexes and constants.  Probes go through one hash index per
+  programs (all relations over individuals).  Relations hold tuples of the
+  model's own interned `Ind`s, so the model is a copy of the fixpoint's
+  sets.  Facts (`p a b.`) are rows of the first round.  Each rule shape (a
+  rule with its names numbered out) is planned once per process and delta
+  focus into a static join order over variable slots, emitted as Python
+  source of nested loops and compiled; a run binds the code to its
+  relations, indexes and constants.  Probes go through one hash index per
   (predicate, bound positions), built the first time a plan needs it and
   extended with every round's new tuples; a probe that binds every
   position tests the relation itself.
@@ -48,10 +50,10 @@ class EngineError(HodlError):
 class EngineConfig:
     engine: str = "demand"  # naive | seminaive | demand
     # BudgetExhaustedError once an engine takes more steps than this.  A
-    # step is a productive T_P application for naive, a derived head tuple
-    # (duplicates included) for seminaive and a goal run for demand.  The
-    # step counts `_run_engine` reports use the same units, except that
-    # seminaive reports rounds.
+    # step is a productive T_P application for naive, a fact row or derived
+    # head tuple (duplicates included) for seminaive and a goal run for
+    # demand.  The step counts `_run_engine` reports use the same units,
+    # except that seminaive reports rounds.
     step_budget: int = 10 ** 7
     domain_cap: int = 1 << 16  # naive only
     trace: bool = False  # demand only
@@ -59,6 +61,22 @@ class EngineConfig:
 
 # ---------------------------------------------------------------------------
 # Semi-naive engine (first-order)
+
+def _fact_row(cl):
+    """The constant names of a fact, a clause whose body only equates each
+    formal once with a constant (as `p a b.` is lowered), in formal order;
+    else None.  The seminaive and demand engines take facts as rows."""
+    row = {}
+    for b in cl.body:
+        if not (isinstance(b, Eq) and isinstance(b.left, Var)
+                and isinstance(b.right, Const)) or b.left.name in row:
+            return None
+        row[b.left.name] = b.right.name
+    formals = [f.name for f in cl.formals]
+    if len(row) == len(formals) and row.keys() == set(formals):
+        return tuple(row[f] for f in formals)
+    return None
+
 
 def _shape(cl):
     """A first-order rule with its names taken out: (key, body predicate
@@ -386,19 +404,28 @@ class _Joins:
 
 
 def _seminaive_fixpoint(prog, cfg):
-    """The least model's relations, as {pred: set of tuples of constant
-    names}, and the number of productive rounds."""
+    """The least model's relations, as {pred: set of tuples of `Ind`s}, and
+    the number of productive rounds.  Each fact is a row of the first
+    round, and ticks the budget as a derived tuple does."""
     for p, ty in prog.signatures.items():
         if type_order(ty) > 1:
             raise EngineError("seminaive engine requires a first-order program"
                               " (predicate %s has order %d)" % (p, type_order(ty)))
-    joins = _Joins(herbrand_universe(prog), cfg.step_budget)
+    joins = _Joins(list(map(Ind, herbrand_universe(prog))), cfg.step_budget)
     for p in prog.signatures:
         joins.rel(p)
     seeds = []
     plans = {}  # focus predicate -> [[head, preds, consts, steps, make, run]]
     for cl in prog.clauses:
+        row = _fact_row(cl)
+        if row is not None:
+            if joins.tick() > joins.budget:
+                raise BudgetExhaustedError("unknown: budget")
+            joins.rel(cl.head)
+            joins.out[cl.head].add(tuple(map(Ind, row)))
+            continue
         key, preds, consts = _shape(cl)
+        consts = tuple(map(Ind, consts))
         for focus, steps, make in _rule_plans(key):
             plan = [cl.head, preds, consts, steps, make, None]
             if focus is None:
@@ -423,19 +450,18 @@ def _seminaive_fixpoint(prog, cfg):
 def least_model_seminaive(prog, cfg=None):
     """Delta-driven bottom-up fixpoint for first-order programs.
 
-    The step budget of `cfg` counts derived head tuples: one step per
-    tuple a rule body yields, duplicates included.  BudgetExhaustedError
-    is raised once the count passes the budget.
+    The step budget of `cfg` counts fact rows and derived head tuples: one
+    step per fact row and per tuple a rule body yields, duplicates
+    included.  BudgetExhaustedError is raised once the count passes the
+    budget.  The fixpoint's tuples already hold the model's `Ind`s, so
+    each relation of the model is a copy of its set, with nothing
+    rehashed.
     """
     total, iterations = _seminaive_fixpoint(prog, cfg or EngineConfig())
-    ind = {c: Ind(c) for c in herbrand_universe(prog)}.__getitem__
     interp = {}
     for p, ty in prog.signatures.items():
-        if ty == OMICRON:
-            interp[p] = Bool(() in total[p])
-        else:
-            interp[p] = Rel(ty, frozenset(
-                tuple(map(ind, tup)) for tup in total[p]))
+        interp[p] = (Bool(() in total[p]) if ty == OMICRON
+                     else Rel(ty, frozenset(total[p])))
     return FixpointResult(interp, iterations)
 
 
@@ -568,12 +594,13 @@ class DemandEngine:
         self.clauses = {}  # pred -> [(formal names, body atoms), ...]
         self.facts = {}  # pred -> {row of arg ids: None}, in insertion order
         for cl in prog.clauses:
-            formals = [f.name for f in cl.formals]
-            body = [self._atom(b) for b in cl.body]
-            row = _fact_row(formals, body)
+            row = _fact_row(cl)
             if row is None:
-                self.clauses.setdefault(cl.head, []).append((formals, body))
+                self.clauses.setdefault(cl.head, []).append(
+                    ([f.name for f in cl.formals],
+                     [self._atom(b) for b in cl.body]))
             else:
+                row = tuple(self._id(("c", c)) for c in row)
                 self.facts.setdefault(cl.head, {})[row] = None
         self.extensional = self.facts.keys() - self.clauses.keys()
         self.indexes = {}  # (pred, key positions) -> {key: [row, ...]}
@@ -730,15 +757,6 @@ class DemandEngine:
             if body(key, *key[1:]):
                 return True
         return False
-
-
-def _fact_row(formals, body):
-    """The arg ids of a fact, a clause whose body only equates each formal
-    once with a ground id (as `p a b.` is lowered); else None."""
-    row = dict(a[2] for a in body if a[0] == "=" and type(a[2][1]) is int)
-    if len(row) == len(body) == len(formals) and row.keys() == set(formals):
-        return tuple(row[f] for f in formals)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,36 @@ class DomainTooLargeError(HodlError):
 # ---------------------------------------------------------------------------
 # Semantic values
 
-@dataclass(frozen=True)
+_INDS = {}  # name -> its Ind
+
+
 class Ind:
-    name: str
+    """An individual.  `Ind(name)` is one shared object per name, so two
+    individuals are equal exactly when they are the same object, and
+    compare and hash by identity, in C.  Pickling and copying re-intern."""
+
+    __slots__ = ("name",)
+
+    def __new__(cls, name):
+        ind = _INDS.get(name)
+        if ind is None:
+            ind = object.__new__(cls)
+            object.__setattr__(ind, "name", name)
+            # another thread may have interned the name meanwhile
+            ind = _INDS.setdefault(name, ind)
+        return ind
+
+    def __setattr__(self, attr, value):
+        raise AttributeError("cannot assign to field %r" % attr)
+
+    def __delattr__(self, attr):
+        raise AttributeError("cannot delete field %r" % attr)
+
+    def __reduce__(self):
+        return Ind, (self.name,)
+
+    def __repr__(self):
+        return "Ind(name=%r)" % (self.name,)
 
 
 @dataclass(frozen=True)
@@ -112,13 +139,18 @@ def predicted_domain_size(ty, n_plus_c, _clamp=4096):
     return 2 ** size
 
 
+# The most argument tuples a predicate domain is enumerated over, whatever
+# the cap: its elements are searched over subsets of them.
+MAX_PRODUCT = 60
+
+
 def enumerate_domain(ty, universe, cap=1 << 16):
     """All elements of the domain of `ty` over the given universe.
 
     For a predicate type this is exactly the set of monotone functions,
     represented as upward-closed subsets of the product of the argument
-    domains.  Raises DomainTooLargeError (E301) when the predicted size
-    exceeds the cap.
+    domains.  Raises DomainTooLargeError (E301) when that product exceeds
+    the cap or MAX_PRODUCT, or the elements exceed the cap.
     """
     if ty == IOTA:
         return Domain(ty, [Ind(c) for c in universe])
@@ -129,7 +161,7 @@ def enumerate_domain(ty, universe, cap=1 << 16):
     product_size = 1
     for d in arg_domains:
         product_size *= len(d)
-    if product_size > cap or product_size > 60:
+    if product_size > min(cap, MAX_PRODUCT):
         predicted = predicted_domain_size(ty, len(universe))
         raise DomainTooLargeError(ty, predicted)
     product = [t for t in itertools.product(*(d.elements for d in arg_domains))]

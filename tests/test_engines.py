@@ -229,7 +229,7 @@ def test_seminaive_compiles_each_rule_shape_once(monkeypatch):
         assert semi == least_model_naive(prog).interpretation
         models.append(semi["q"].tuples)
     assert models == [{(Ind("b"),)}, {(Ind("a"),)}]
-    assert len(compiled) == seen + 2  # the first program: e fact, q rule
+    assert len(compiled) == seen + 1  # the q rule: facts are rows, not plans
 
 
 @pytest.mark.parametrize("n", [40, 120])
@@ -308,6 +308,41 @@ def test_seminaive_budget_counts_every_derived_tuple():
     least_model_seminaive(prog, EngineConfig(step_budget=8))
     with pytest.raises(BudgetExhaustedError):
         least_model_seminaive(prog, EngineConfig(step_budget=7))
+
+
+def test_seminaive_budget_counts_every_fact_row():
+    # three fact rows, one repeated: three steps for two tuples
+    prog, _ = analyze("p a. p a. p b.")
+    model = least_model_seminaive(prog, EngineConfig(step_budget=3))
+    assert model.interpretation["p"].tuples == {(Ind("a"),), (Ind("b"),)}
+    with pytest.raises(BudgetExhaustedError):
+        least_model_seminaive(prog, EngineConfig(step_budget=2))
+
+
+@pytest.mark.parametrize("text, rows", [
+    # each program with the row `_fact_row` makes of each of its clauses,
+    # None for a clause that both engines run as a rule
+    ("p a. p a. p b.", [("a",), ("a",), ("b",)]),
+    ("z. e a b. z :- (e b a).", [(), ("a", "b"), None]),
+    ("e X X. u a.", [None, ("a",)]),                 # repeated head variable
+    ("e X Y :- (X = Y). u a.", [None, ("a",)]),      # variables equated
+    ("u X :- (a = X). u b.", [None, ("b",)]),        # constant on the left
+    ("u X :- (X = a), (X = b). u c.", [None, ("c",)]),  # a formal twice
+    ("e a b. e b c. e X Y :- (e Y X). u X :- (e X c).",  # facts and rules
+     [("a", "b"), ("b", "c"), None, None]),
+])
+def test_fact_rows_agree_with_naive(text, rows):
+    prog, report = analyze(text)
+    assert report.ok, report.violations
+    assert [engines._fact_row(cl) for cl in prog.clauses] == rows
+    naive = least_model_naive(prog)
+    semi = least_model_seminaive(prog)
+    assert semi.interpretation == naive.interpretation
+    assert semi.iterations == naive.iterations
+    eng = DemandEngine(prog)
+    for goal in ground_goals(prog):
+        assert eng.solve(goal) == truth_in_model(
+            goal, naive.interpretation), goal
 
 
 def test_seminaive_rejects_higher_order():
@@ -474,3 +509,19 @@ def test_seminaive_growth_fo_parity():
             merge(prog, encode_input("a" * n)), EngineConfig())
         assert got == rounds, n
         assert sum(map(len, total.values())) == tuples, n
+
+
+def test_seminaive_chain_growth():
+    # an N-node chain closes in N rounds with its N - 1 edges and
+    # N(N - 1)/2 paths, and the model holds the fixpoint's tuples
+    for n, rounds, tuples in ((25, 25, 324), (50, 50, 1274),
+                              (100, 100, 5049)):
+        facts = " ".join("edge c%d c%d." % (i, i + 1) for i in range(n - 1))
+        prog, _ = analyze(facts + " path X Y :- (edge X Y). "
+                          "path X Y :- (edge X Z), (path Z Y).")
+        res = least_model_seminaive(prog)
+        assert res.iterations == rounds, n
+        model = res.interpretation
+        assert (len(model["edge"].tuples)
+                + len(model["path"].tuples)) == tuples, n
+        assert (Ind("c0"), Ind("c%d" % (n - 1))) in model["path"].tuples

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -6,11 +8,11 @@ import pytest
 from conftest import (analyzed_corpus, count_upward_closed, ground_goals,
                       interp_leq, truth_in_model)
 from hodatalog.core import IOTA, arrow, compute_stats, iteration_bound
-from hodatalog.semantics import (Bool, DomainTooLargeError, FALSE, Ind, Rel,
-                                 TRUE, apply_value, bottom_interpretation,
-                                 build_domains, dump_model, enumerate_domain,
-                                 eval_expr, least_model_naive, tp_step,
-                                 value_leq)
+from hodatalog.semantics import (MAX_PRODUCT, Bool, DomainTooLargeError,
+                                 FALSE, Ind, Rel, TRUE, apply_value,
+                                 bottom_interpretation, build_domains,
+                                 dump_model, enumerate_domain, eval_expr,
+                                 least_model_naive, tp_step, value_leq)
 from hodatalog.typecheck import analyze
 
 
@@ -52,6 +54,36 @@ def test_domain_too_large():
     with pytest.raises(DomainTooLargeError) as e:
         enumerate_domain(deep, ["a", "b", "c", "d", "e", "f", "g"])
     assert e.value.code == "E301"
+
+
+def test_domain_product_limit_holds_whatever_the_cap():
+    # at most 60 argument tuples, as the --cap help states: a unary
+    # predicate over 61 individuals ranges over 61, and is refused before
+    # any element is built, under the default cap and under a larger one
+    assert MAX_PRODUCT == 60
+    universe = ["c%d" % i for i in range(61)]
+    for cap in (1 << 16, 1 << 40):
+        with pytest.raises(DomainTooLargeError) as e:
+            enumerate_domain(arrow([IOTA]), universe, cap)
+        assert e.value.code == "E301"
+
+
+def test_ind_is_interned():
+    a = Ind("a")
+    assert a is Ind("a") and a == Ind("a") and a != Ind("b")
+    assert hash(a) == hash(Ind("a"))
+    assert a != "a" and "a" != a
+    assert repr(a) == "Ind(name='a')"
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a),
+                 copy.deepcopy((a, [a]))[0]):
+        assert twin is a
+    with pytest.raises(AttributeError):
+        a.name = "b"
+    with pytest.raises(AttributeError):
+        a.other = 1
+    with pytest.raises(AttributeError):
+        del a.name
+    assert a.name == "a"
 
 
 def test_residuation():
