@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .core import Arrow, HodlError, IOTA, arrow
 from .core import render_type
-from .syntax import parse_program
 from .tm import BLANK, MoveLeft, MoveRight, Write, tm_run
 from .typecheck import analyze
 
@@ -96,11 +95,6 @@ def base_arith_text(d):
                 [_atom("tuple_zero", Z), _atom("less_than", Z, X)]),
     ]
     return lines
-
-
-def gen_base_arith(d):
-    """The position-arithmetic library as parsed surface clauses."""
-    return parse_program("\n".join(base_arith_text(d))).clauses
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +362,6 @@ def bignum_text(k, d):
         lines += _level_directives(level, d)
         lines += _level_up_text(level)
     return lines
-
-
-def gen_bignum(k, d):
-    return parse_program("\n".join(bignum_text(k, d))).clauses
 
 
 # ---------------------------------------------------------------------------

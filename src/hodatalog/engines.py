@@ -1,27 +1,32 @@
 """Production evaluation engines.
 
+Both fast engines lower a rule through one `_shape`: its variables, ground
+subterms and called predicate names are numbered out, and each body atom
+becomes an equality, a "rows" atom (read from the rows of a predicate the
+engine holds as relations) or a subgoal call.  Rules of one shape share a
+plan, emitted by one `_source` as Python source of nested loops and
+compiled once per process; a run binds the code to the resources
+`_resources` collects and to its constants.  Facts (`p a b.`) are rows,
+never rules, for both.
+
 * least_model_seminaive: delta-driven bottom-up evaluation for first-order
-  programs (all relations over individuals).  Relations hold tuples of the
-  model's own interned `Ind`s, so the model is a copy of the fixpoint's
-  sets.  Facts (`p a b.`) are rows of the first round.  Each rule shape (a
-  rule with its names numbered out) is planned once per process and delta
-  focus into a static join order over variable slots, emitted as Python
-  source of nested loops and compiled; a run binds the code to its
-  relations, indexes and constants.  Probes go through one hash index per
+  programs (all relations over individuals); every predicate is a "rows"
+  predicate.  Relations hold tuples of the model's own interned `Ind`s, so
+  the model is a copy of the fixpoint's sets.  Facts are rows of the first
+  round.  Each rule shape is planned once per delta focus into a static
+  join order over variable slots.  Probes go through one hash index per
   (predicate, bound positions), built the first time a plan needs it and
   extended with every round's new tuples; a probe that binds every
   position tests the relation itself.
 * DemandEngine: demand-driven tabled evaluation for higher-order
   programs.  Ground terms are hash-consed into int ids, and a ground goal
   is memoized under (pred name, arg id, ...); facts are indexed rows of
-  ids, and an atom of a predicate given only by facts is looked up, never
-  tabled.  Each clause shape (a rule body with its variables, ids and
-  names numbered out) is planned once per process into a fixed binding
-  order, emitted by the same `_source` as seminaive plans and compiled; a
-  run binds the code to its ids, fact indexes and table.  The table is
-  driven to a least fixpoint by propagating false-to-true flips to
-  recorded dependents, in the order they were recorded.  Trace lines,
-  rendered from the ids without recursion, go to stderr.
+  ids, and an atom of a predicate given only by facts is a "rows" atom,
+  looked up, never tabled.  A predicate's rules are lowered, planned into
+  a fixed binding order and bound on its first call.  The table is driven
+  to a least fixpoint by propagating false-to-true flips to recorded
+  dependents, in the order they were recorded.  Trace lines, rendered
+  from the ids without recursion, go to stderr.
 * decide: the accept/reject entry point.  It and the CLI's crosscheck go
   through `_run_engine`, the one place that picks an engine by name.
 """
@@ -60,7 +65,7 @@ class EngineConfig:
 
 
 # ---------------------------------------------------------------------------
-# Semi-naive engine (first-order)
+# Lowering, planning and emitted code, for both engines
 
 def _fact_row(cl):
     """The constant names of a fact, a clause whose body only equates each
@@ -78,36 +83,54 @@ def _fact_row(cl):
     return None
 
 
-def _shape(cl):
-    """A first-order rule with its names taken out: (key, body predicate
-    names, constants).
+def _shape(cl, rows):
+    """A rule clause with its names taken out, for both engines: (key, atom
+    predicate names, constants).
 
-    The key is (formals, atoms, number of constants).  Variables and
-    constants are numbered by first occurrence, ("v", i) and ("c", j); an
-    atom is ("eq", left, right) or ("pred", terms), its predicate the name
-    at its index.  Rules that differ only in names share a key and a plan.
+    The key is (formals, atoms, number of constants).  Variables are
+    numbered by first occurrence, formals first, as ("v", i); ground
+    subterms and the names of called predicates share one numbering, ("c",
+    j); an application with variables is ("a", fn, arg).  An atom is ("eq",
+    left, right), ("rows", terms) for a predicate in `rows`, its name at the
+    atom's index, or ("call", head, terms, variables, closure-headed) for any
+    other, its head the name's constant or, closure-headed, a term.  The
+    variables of a call follow the sorted order of their names.  A constant
+    is a ground term, or the name (a str) of a called predicate.  Clauses
+    that differ only in names share a key and a plan.
     """
     var, const, preds, atoms = {}, {}, [], []
 
-    def term(e):
+    def ground(e):
+        return ("c", const.setdefault(e, len(const)))
+
+    def term(e, top=True):
+        """The numbered term of e.  Below the top a ground subterm is None,
+        numbered whole by its parent, so each subterm is visited once."""
         if isinstance(e, Var):
             return ("v", var.setdefault(e.name, len(var)))
-        if isinstance(e, (Const, Pred)):
-            return ("c", const.setdefault(e.name, len(const)))
-        raise EngineError("nested application in first-order atom argument")
+        if isinstance(e, App):
+            fn, arg = term(e.fn, False), term(e.arg, False)
+            if fn or arg:
+                return ("a", fn or ground(e.fn), arg or ground(e.arg))
+        return ground(e) if top else None
 
+    formals = tuple(("v", var.setdefault(f.name, len(var)))
+                    for f in cl.formals)
     for b in cl.body:
         if isinstance(b, Eq):
             preds.append(None)
             atoms.append(("eq", term(b.left), term(b.right)))
             continue
         h, args = app_spine(b)
-        if not isinstance(h, Pred):
-            raise EngineError("non-predicate atom head in first-order clause")
-        preds.append(h.name)
-        atoms.append(("pred", tuple(map(term, args))))
-    formals = tuple(("v", var.setdefault(f.name, len(var)))
-                    for f in cl.formals)
+        pred = h.name if isinstance(h, Pred) else None
+        preds.append(pred)
+        if pred in rows:
+            atoms.append(("rows", tuple(map(term, args))))
+            continue
+        head = ground(pred) if pred is not None else term(h)
+        names = sorted({v.name for v in expr_vars(b)})
+        atoms.append(("call", head, tuple(map(term, args)),
+                      tuple(("v", var[n]) for n in names), pred is None))
     return (formals, tuple(atoms), len(const)), preds, tuple(const)
 
 
@@ -164,49 +187,6 @@ def _match_step(kind, i, atom, slots):
         elif not key_pos:
             kind = "scan"
     return (kind, i, tuple(key_pos), key_slots, out_pos, lo, checks)
-
-
-def _plan(atoms, focus, formals, slots):
-    """Static join order for one rule body, led by the delta focus atom
-    `focus` (None for bodies without positive atoms).
-
-    After the focus come equalities with a known side, then the atom with
-    the most bound positions; when only equalities with both sides unbound
-    remain, the left variable of the first one is enumerated over the
-    universe.  Which positions are bound depends only on the earlier
-    steps, never on tuple values, so the order is fixed before any tuple
-    is read.  Then the formals the body leaves unbound are enumerated, and
-    the last step emits the head.
-    """
-    work = list(range(len(atoms)))
-    steps = []
-    if focus is not None:
-        work.remove(focus)
-        steps.append(_match_step("delta", focus, atoms[focus], slots))
-    while work:
-        pick, best = None, -1
-        for i in work:
-            atom = atoms[i]
-            if atom[0] == "eq":
-                if atom[1] in slots.of or atom[2] in slots.of:
-                    pick = i
-                    break
-            else:
-                bound = sum(1 for t in atom[1] if t in slots.of)
-                if bound > best:
-                    pick, best = i, bound
-        if pick is None:
-            steps.append(("enum", slots.fresh(atoms[work[0]][1])))
-            continue
-        work.remove(pick)
-        atom = atoms[pick]
-        steps.append(_match_step("probe", pick, atom, slots)
-                     if atom[0] == "pred" else _eq_step(atom, slots))
-    for f in dict.fromkeys(formals):
-        if f not in slots.of:
-            steps.append(("enum", slots.fresh(f)))
-    steps.append(("emit", [slots.of[f] for f in formals]))
-    return steps
 
 
 def _eq_step(atom, slots):
@@ -313,23 +293,6 @@ def _tuple(names):
     return "(%s)" % "".join(n + ", " for n in names).rstrip()
 
 
-@functools.lru_cache(maxsize=512)
-def _rule_plans(key):
-    """(focus, steps, factory) for each delta focus of a rule shape (a
-    `_shape` key): every atom that is not an equality, or None when there
-    is none.  Each shape is planned and compiled once per process, for
-    every program it occurs in; the cache holds the 512 latest shapes."""
-    formals, atoms, consts = key
-    foci = [i for i, a in enumerate(atoms) if a[0] == "pred"]
-    out = []
-    for focus in foci or [None]:
-        steps = _plan(atoms, focus, formals, _Slots(consts))
-        ctx = ["rows"] if focus is not None else []
-        out.append((focus, steps, _compile(_source(
-            steps, consts, consts, "add, tick, budget, universe", ctx))))
-    return tuple(out)
-
-
 def _compile(source):
     """The factory `make` that `source` defines."""
     ns = {"BudgetExhaustedError": BudgetExhaustedError}
@@ -341,6 +304,78 @@ def _extend(idx, positions, rows):
     key = itemgetter(*positions)
     for row in rows:
         idx.setdefault(key(row), []).append(row)
+
+
+def _resources(steps, preds, rel, index):
+    """What a plan's code reads, its R in `_source`: per probe step the
+    `get` of index(pred, key positions), per scan or member step rel(pred),
+    pred being the predicate of the step's atom."""
+    return [index(preds[s[1]], s[2]).get if s[0] == "probe"
+            else rel(preds[s[1]])
+            for s in steps if s[0] in ("probe", "scan", "member")]
+
+
+# ---------------------------------------------------------------------------
+# Semi-naive engine (first-order)
+
+def _plan(atoms, focus, formals, slots):
+    """Static join order for one rule body, led by the delta focus atom
+    `focus` (None for bodies without positive atoms).
+
+    After the focus come equalities with a known side, then the atom with
+    the most bound positions; when only equalities with both sides unbound
+    remain, the left variable of the first one is enumerated over the
+    universe.  Which positions are bound depends only on the earlier
+    steps, never on tuple values, so the order is fixed before any tuple
+    is read.  Then the formals the body leaves unbound are enumerated, and
+    the last step emits the head.
+    """
+    work = list(range(len(atoms)))
+    steps = []
+    if focus is not None:
+        work.remove(focus)
+        steps.append(_match_step("delta", focus, atoms[focus], slots))
+    while work:
+        pick, best = None, -1
+        for i in work:
+            atom = atoms[i]
+            if atom[0] == "eq":
+                if atom[1] in slots.of or atom[2] in slots.of:
+                    pick = i
+                    break
+            else:
+                bound = sum(1 for t in atom[1] if t in slots.of)
+                if bound > best:
+                    pick, best = i, bound
+        if pick is None:
+            steps.append(("enum", slots.fresh(atoms[work[0]][1])))
+            continue
+        work.remove(pick)
+        atom = atoms[pick]
+        steps.append(_match_step("probe", pick, atom, slots)
+                     if atom[0] == "rows" else _eq_step(atom, slots))
+    for f in dict.fromkeys(formals):
+        if f not in slots.of:
+            steps.append(("enum", slots.fresh(f)))
+    steps.append(("emit", [slots.of[f] for f in formals]))
+    return steps
+
+
+@functools.lru_cache(maxsize=512)
+def _rule_plans(key):
+    """(focus, steps, factory) for each delta focus of a rule shape (a
+    `_shape` key): every atom that is not an equality, or None when there
+    is none.  Each shape is planned and compiled once per process, for
+    every program it occurs in; the cache holds the 512 latest shapes."""
+    formals, atoms, consts = key
+    foci = [i for i, a in enumerate(atoms) if a[0] == "rows"]
+    out = []
+    for focus in foci or [None]:
+        steps = _plan(atoms, focus, formals, _Slots(consts))
+        ctx = ["rows"] if focus is not None else []
+        out.append((focus, steps, _compile(_source(
+            steps, consts, consts, "add, tick, budget, universe", ctx))))
+    return tuple(out)
 
 
 class _Joins:
@@ -392,12 +427,7 @@ class _Joins:
     def bind(self, head, preds, consts, steps, make):
         """A rule's `run` for one plan, over this run's relations and
         indexes; an index the plan probes is built here if it is new."""
-        res = []
-        for step in steps:
-            if step[0] == "probe":
-                res.append(self.index(preds[step[1]], step[2]).get)
-            elif step[0] in ("scan", "member"):
-                res.append(self.rel(preds[step[1]]))
+        res = _resources(steps, preds, self.rel, self.index)
         self.rel(head)
         return make(res, consts, self.out[head].add, self.tick, self.budget,
                     self.universe)
@@ -424,8 +454,8 @@ def _seminaive_fixpoint(prog, cfg):
             joins.rel(cl.head)
             joins.out[cl.head].add(tuple(map(Ind, row)))
             continue
-        key, preds, consts = _shape(cl)
-        consts = tuple(map(Ind, consts))
+        key, preds, consts = _shape(cl, prog.signatures)
+        consts = tuple(Ind(c.name) for c in consts)
         for focus, steps, make in _rule_plans(key):
             plan = [cl.head, preds, consts, steps, make, None]
             if focus is None:
@@ -468,56 +498,14 @@ def least_model_seminaive(prog, cfg=None):
 # ---------------------------------------------------------------------------
 # Demand-driven tabled engine
 
-def _demand_shape(formals, atoms, extensional):
-    """A rule clause of the demand engine with its names taken out: (key,
-    atom predicate names, constants).
-
-    The key is (formals, atoms, number of constants).  Variables are
-    numbered by first occurrence, formals first, as ("v", i); ground ids
-    and the predicate names of tabled atoms share one numbering, ("c", j);
-    an application with variables is ("a", fn, arg).  An atom is ("eq",
-    left, right), ("ext", terms) for a predicate given only by facts, or
-    ("call", head, terms, variables, closure-headed) for any other, its
-    head the name's constant or, closure-headed, a term.  The variables of
-    a call follow the sorted order of their names.
-    """
-    var, const, preds, out = {}, {}, [], []
-
-    def terms(ts):
-        return tuple(_numbered(t, var, const) for t in ts)
-
-    formal_terms = terms(formals)
-    for name, head, args, names in atoms:
-        preds.append(name)
-        if name == "=":
-            out.append(("eq", *terms(args)))
-        elif name in extensional:
-            out.append(("ext", terms(args)))
-        else:
-            head = (_numbered(head, var, const) if name is None
-                    else ("c", const.setdefault(name, len(const))))
-            out.append(("call", head, terms(args), terms(names),
-                        name is None))
-    return (formal_terms, tuple(out), len(const)), preds, tuple(const)
-
-
-def _numbered(t, var, const):
-    """A template with its variables and ids numbered in var and const."""
-    if type(t) is str:
-        return ("v", var.setdefault(t, len(var)))
-    if type(t) is int:
-        return ("c", const.setdefault(t, len(const)))
-    return ("a", _numbered(t[0], var, const), _numbered(t[1], var, const))
-
-
 @functools.lru_cache(maxsize=512)
 def _demand_body(key):
-    """(steps, factory) of a demand clause shape (a `_demand_shape` key).
+    """(steps, factory) of a demand clause shape (a `_shape` key).
 
     The order is fixed before any id is read.  Formals are bound on entry.
     Then comes, each time, the first atom left that is not an equality or
     has a known side; when only equalities with both sides unbound remain,
-    the left side of the first is enumerated over the universe.  An "ext"
+    the left side of the first is enumerated over the universe.  A "rows"
     atom binds its free variables from the fact rows that match its bound
     positions.  A call enumerates its free variables over the universe, in
     sorted-name order, and goes on where its goal is true.  The factory's
@@ -549,7 +537,7 @@ def _demand_body(key):
         i, atom = work.pop(pick)
         if atom[0] == "eq":
             steps.append(_eq_step(atom, slots))
-        elif atom[0] == "ext":
+        elif atom[0] == "rows":
             for t in atom[1]:
                 if t[0] == "a":
                     ground(t)
@@ -574,9 +562,10 @@ class DemandEngine:
     table key is (pred name, arg id, ...), or ("=", left id, right id) for
     an equation; a closure-headed goal flattens through the id table.
     Facts (`p a b.`) become rows of ids, checked before a goal's rules.
-    Each rule body is planned once per clause shape (`_demand_body`) and
-    runs as compiled Python code bound to this engine's ids, facts and
-    table: an atom of a predicate with facts and no rules binds its free
+    A predicate's rules are lowered (`_shape`) on its first call; each
+    body is planned once per clause shape (`_demand_body`) and runs as
+    compiled Python code bound to this engine's ids, facts and table: an
+    atom of a predicate with facts and no rules binds its free
     variables from an index of the rows and is never tabled; any other
     atom tries each constant for its free ones and is looked up as a
     subgoal, recording the dependency.  Entries start false and may flip
@@ -591,14 +580,12 @@ class DemandEngine:
         self.ids = {}  # node -> id
         self.texts = {}  # id -> text, for traces
         self.universe = [self._id(("c", c)) for c in herbrand_universe(prog)]
-        self.clauses = {}  # pred -> [(formal names, body atoms), ...]
+        self.clauses = {}  # pred -> [rule Clause, ...]
         self.facts = {}  # pred -> {row of arg ids: None}, in insertion order
         for cl in prog.clauses:
             row = _fact_row(cl)
             if row is None:
-                self.clauses.setdefault(cl.head, []).append(
-                    ([f.name for f in cl.formals],
-                     [self._atom(b) for b in cl.body]))
+                self.clauses.setdefault(cl.head, []).append(cl)
             else:
                 row = tuple(self._id(("c", c)) for c in row)
                 self.facts.setdefault(cl.head, {})[row] = None
@@ -611,9 +598,8 @@ class DemandEngine:
 
     def solve(self, goal):
         """A ground atom's truth in the least model; tabled goals are final."""
-        name, head, args, _ = self._atom(goal)
-        key = ((name, *args) if name is not None
-               else self._spine(head) + tuple(args))
+        key = (("=", self._term_id(goal.left), self._term_id(goal.right))
+               if isinstance(goal, Eq) else self._spine(self._term_id(goal)))
         self._intern(key)
         self._run()
         return self.table[key]
@@ -625,29 +611,13 @@ class DemandEngine:
             self.nodes.append(node)
         return i
 
-    def _template(self, e):
-        """The id of a ground term; else a variable's name, or a pair of
-        the templates of an application's function and argument."""
-        if isinstance(e, Var):
-            return e.name
+    def _term_id(self, e):
+        """The id of a ground term."""
         if isinstance(e, App):
-            fn, arg = self._template(e.fn), self._template(e.arg)
-            if type(fn) is int and type(arg) is int:
-                return self._id((fn, arg))
-            return (fn, arg)
+            return self._id((self._term_id(e.fn), self._term_id(e.arg)))
+        if isinstance(e, Var):
+            raise EngineError("not a ground term: variable %s" % e.name)
         return self._id(("p" if isinstance(e, Pred) else "c", e.name))
-
-    def _atom(self, e):
-        """A body atom as (pred name, head template, arg templates, sorted
-        variable names).  The name is "=" for an equation and None when the
-        head is not a predicate constant."""
-        names = sorted({v.name for v in expr_vars(e)})
-        if isinstance(e, Eq):
-            return ("=", None, (self._template(e.left),
-                                self._template(e.right)), names)
-        head, args = app_spine(e)
-        return (head.name if isinstance(head, Pred) else None,
-                self._template(head), [self._template(a) for a in args], names)
 
     def _spine(self, i):
         """The key prefix (pred name, arg id, ...) of the closure id i."""
@@ -725,24 +695,23 @@ class DemandEngine:
                     if not self.table[d]:
                         self.pending.append(d)
 
-    def _bind(self, formals, atoms):
-        """A rule's body, compiled for its shape and bound to this engine;
-        an index of fact rows it probes is built here if it is new."""
-        key, preds, consts = _demand_shape(formals, atoms, self.extensional)
+    def _bind(self, cl):
+        """A rule's body, lowered, compiled for its shape and bound to this
+        engine; an index of fact rows it probes is built here if it is
+        new."""
+        key, preds, consts = _shape(cl, self.extensional)
+        consts = [c if type(c) is str else self._term_id(c) for c in consts]
         steps, make = _demand_body(key)
-        res = []
-        for step in steps:
-            if step[0] in ("scan", "member"):
-                res.append(self.facts[preds[step[1]]])
-            elif step[0] == "probe":
-                pred, positions = preds[step[1]], step[2]
-                idx = self.indexes.get((pred, positions))
-                if idx is None:
-                    idx = self.indexes[pred, positions] = {}
-                    _extend(idx, positions, self.facts[pred])
-                res.append(idx.get)
+        res = _resources(steps, preds, self.facts.__getitem__, self._index)
         return make(res, consts, self._id, self._call, self._spine,
                     self.universe)
+
+    def _index(self, pred, positions):
+        idx = self.indexes.get((pred, positions))
+        if idx is None:
+            idx = self.indexes[pred, positions] = {}
+            _extend(idx, positions, self.facts[pred])
+        return idx
 
     def _eval_goal(self, key, bodies):
         if key[0] == "=":
@@ -752,7 +721,7 @@ class DemandEngine:
         rules = bodies.get(key[0])
         if rules is None:
             rules = bodies[key[0]] = [
-                self._bind(*c) for c in self.clauses.get(key[0], ())]
+                self._bind(cl) for cl in self.clauses.get(key[0], ())]
         for body in rules:
             if body(key, *key[1:]):
                 return True

@@ -60,6 +60,8 @@ class TuringMachine:
                 raise TmFormatError("unknown state %r" % s)
             if sym not in TAPE_ALPHABET:
                 raise TmFormatError("unknown symbol %r" % sym)
+            if isinstance(act, Write) and act.symbol not in TAPE_ALPHABET:
+                raise TmFormatError("unknown symbol %r" % act.symbol)
             nxt = act.next_state
             if nxt not in self.states:
                 raise TmFormatError("unknown target state %r" % nxt)

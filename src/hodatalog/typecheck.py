@@ -14,7 +14,7 @@ from . import core
 from .core import (App, Arrow, Clause, Const, Eq, Formal, HodlError, IOTA,
                    OMICRON, Pred, Program, Var, is_predicate_type,
                    render_type, type_order)
-from .syntax import SourceProgram, SurfaceClause, parse_program
+from .syntax import parse_program
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,6 @@ def _has_omicron_arg(ty):
 
 # ---------------------------------------------------------------------------
 # Analysis
-
-def _surface_of(prog):
-    """View a core Program as a SourceProgram for re-analysis."""
-    directives = [(n, t, 0, 0) for n, t in prog.signatures.items()]
-    clauses = [SurfaceClause(cl.head, [Var(f.name) for f in cl.formals],
-                             list(cl.body)) for cl in prog.clauses]
-    return SourceProgram(directives, clauses)
-
 
 class _Analysis:
     """One inference pass over a surface program.
@@ -279,29 +271,16 @@ class _Analysis:
 # Public operations
 
 def infer_types(src):
-    """Type a SourceProgram (or a core Program); returns a TypeReport."""
-    if isinstance(src, Program):
-        src = _surface_of(src)
+    """Type a SourceProgram; returns a TypeReport."""
     a = _Analysis(src)
     a.run()
     order = classify_order_from_signatures(a.signatures)
     return TypeReport(a.signatures, a.var_types, order, a.violations)
 
 
-def validate_definitional(src, report=None):
-    """Wadge-restriction diagnostics (E201/E202/E203) for a program."""
-    if report is None:
-        report = infer_types(src)
-    return [d for d in report.violations if d.code in ("E201", "E202", "E203")]
-
-
 def classify_order_from_signatures(signatures):
     orders = [type_order(ty) for ty in signatures.values()]
     return max(max(orders, default=1), 1)
-
-
-def classify_order(report):
-    return report.program_order
 
 
 # ---------------------------------------------------------------------------

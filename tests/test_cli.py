@@ -124,6 +124,16 @@ def test_compile_tm_rejects_bad_parameters(parity_tm, flags, message, capsys):
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("command", [["tm-run", "--input", "a"],
+                                     ["compile-tm"]],
+                         ids=["tm-run", "compile-tm"])
+def test_unknown_written_symbol_is_an_error(tmp_path, command, capsys):
+    p = tmp_path / "bad.tm"
+    p.write_text("states: s0 yes\nstart: s0\ntrans: s0 a -> yes write c\n")
+    assert main(command[:1] + [str(p)] + command[1:]) == 3
+    assert capsys.readouterr().err == "error: unknown symbol 'c'\n"
+
+
 def test_crosscheck_rejects_order_0(parity_tm, capsys):
     assert main(["crosscheck", parity_tm, "--order", "0"]) == 3
     assert capsys.readouterr().err == "error: order must be >= 1\n"
@@ -205,6 +215,32 @@ def test_crosscheck_higher_order(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "7/7 agree" in out
     assert "steps (goal runs)" in out
+
+
+# writes, and moves left: generated write and left-move rules at every order
+WRITE_LEFT = """\
+states: s0 s1 s2 s3 yes
+start: s0
+trans: s0 a -> s1 write b
+trans: s1 b -> s2 right
+trans: s2 a -> s3 left
+trans: s2 b -> s3 left
+trans: s2 _ -> s3 left
+trans: s3 b -> yes write a
+"""
+
+
+@pytest.mark.parametrize("order, d, max_len", [(1, 3, 3), (2, 2, 2),
+                                               (3, 1, 2)])
+def test_crosscheck_writing_left_moving_machine(tmp_path, order, d, max_len,
+                                                capsys):
+    p = tmp_path / "write_left.tm"
+    p.write_text(WRITE_LEFT)
+    code = main(["crosscheck", str(p), "--order", str(order), "--d", str(d),
+                 "--max-len", str(max_len)])
+    rows = 2 ** (max_len + 1) - 1
+    assert "%d/%d agree" % (rows, rows) in capsys.readouterr().out
+    assert code == 0
 
 
 def test_crosscheck_parallel_rows(parity_tm, capsys):

@@ -6,15 +6,14 @@ from conftest import C, P, ap
 from hodatalog.codegen import (GenerationError, base_arith_text,
                                bignum_text, compile_tm_first_order,
                                compile_tm_higher_order, emit_hodl,
-                               first_order_text, gen_base_arith, gen_bignum,
-                               higher_order_text, number_type,
-                               short_string_rules)
+                               first_order_text, higher_order_text,
+                               number_type, short_string_rules)
 from hodatalog.core import App, Pred
 from hodatalog.encode import encode_input, merge
 from hodatalog.engines import DemandEngine, EngineConfig, decide
 from hodatalog.syntax import parse_program, print_source
 from hodatalog.tm import parse_tm, sample_machine, tm_run
-from hodatalog.typecheck import analyze, infer_types
+from hodatalog.typecheck import analyze, classify_order_from_signatures
 
 
 def test_base_arith_round_trip():
@@ -36,7 +35,8 @@ def test_base_arith_golden_clauses():
 
 def test_tuple_succ_clause_count():
     for d in (1, 2, 3):
-        clauses = [cl for cl in gen_base_arith(d) if cl.head == "tuple_succ"]
+        src = parse_program("\n".join(base_arith_text(d)))
+        clauses = [cl for cl in src.clauses if cl.head == "tuple_succ"]
         assert len(clauses) == d
 
 
@@ -80,7 +80,7 @@ def test_tuple_succ_decoded_semantics():
 def test_first_order_program_is_order_one():
     for name in ("accept_all", "reject_all", "parity"):
         prog = compile_tm_first_order(sample_machine(name), 2)
-        assert infer_types(prog).program_order == 1
+        assert classify_order_from_signatures(prog.signatures) == 1
 
 
 def test_first_order_inertia_and_accept_text():
@@ -125,7 +125,7 @@ def test_short_string_rules_horizon_error():
 
 def test_bignum_requires_k2():
     with pytest.raises(GenerationError):
-        gen_bignum(1, 1)
+        bignum_text(1, 1)
 
 
 def test_bignum_level1_golden_text():
@@ -171,7 +171,7 @@ def test_number_type_shape():
 def test_higher_order_program_classifies_as_k():
     for k in (2, 3):
         prog = compile_tm_higher_order(sample_machine("parity"), k, 1)
-        assert infer_types(prog).program_order == k
+        assert classify_order_from_signatures(prog.signatures) == k
 
 
 def test_higher_order_simulation_golden_text():

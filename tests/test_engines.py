@@ -8,19 +8,19 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import C, P, analyzed_corpus, ap, ground_goals, truth_in_model
 from hodatalog import engines
 from hodatalog.codegen import compile_tm_first_order, compile_tm_higher_order
-from hodatalog.core import Eq, Pred
+from hodatalog.core import Eq, Pred, Var
 from hodatalog.encode import encode_input, merge
 from hodatalog.engines import (BudgetExhaustedError, DemandEngine,
                                EngineConfig, EngineError, _seminaive_fixpoint,
                                decide, least_model_seminaive)
 from hodatalog.semantics import Bool, Ind, least_model_naive
 from hodatalog.tm import sample_machine
-from hodatalog.typecheck import analyze, infer_types
+from hodatalog.typecheck import analyze, classify_order_from_signatures
 
 
 def test_seminaive_matches_naive_on_first_order_corpus():
     for name, prog in analyzed_corpus():
-        if infer_types(prog).program_order != 1:
+        if classify_order_from_signatures(prog.signatures) != 1:
             continue
         semi = least_model_seminaive(prog).interpretation
         naive = least_model_naive(prog).interpretation
@@ -372,6 +372,21 @@ def test_demand_closure_goal():
     prog, _ = analyze("f a. twice R X :- (R X), (R X).")
     assert DemandEngine(prog).solve(ap(P("twice"), P("f"), C("a")))
     assert not DemandEngine(prog).solve(ap(P("twice"), P("f"), C("b")))
+
+
+def test_demand_solves_equations_and_ground_application_arguments():
+    # a goal keyed as ("=", l, r), and a rule whose atom's argument is the
+    # ground application (twice f), lowered as one constant
+    prog, _ = analyze("f a. twice R X :- (R X), (R X). "
+                      "apply F X :- (F X). r :- (apply (twice f) a).")
+    eng = DemandEngine(prog)
+    assert eng.solve(Eq(C("a"), C("a")))
+    assert not eng.solve(Eq(C("a"), C("b")))
+    assert eng.solve(ap(P("apply"), ap(P("twice"), P("f")), C("a")))
+    assert not eng.solve(ap(P("apply"), ap(P("twice"), P("f")), C("b")))
+    assert eng.solve(P("r"))
+    with pytest.raises(EngineError):
+        eng.solve(ap(P("f"), Var("X")))
 
 
 def test_demand_recursive_program():

@@ -2,8 +2,7 @@ import pytest
 
 from hodatalog.core import Arrow, Eq, IOTA, OMICRON, arrow
 from hodatalog.syntax import parse_program
-from hodatalog.typecheck import (TypeCheckError, analyze, classify_order,
-                                 desugar, infer_types, validate_definitional)
+from hodatalog.typecheck import TypeCheckError, analyze, desugar, infer_types
 
 UNION = "union R S X :- (R X). union R S X :- (S X)."
 
@@ -30,19 +29,19 @@ def test_example_two_clean_with_expected_types():
 
 def test_predicate_constant_as_head_argument_is_e202():
     report = infer_types(parse_program("q a. r q."))
-    codes = {d.code for d in validate_definitional(None, report)}
+    codes = {d.code for d in report.violations}
     assert codes == {"E202"}
 
 
 def test_duplicate_predicate_formal_is_e201():
     report = infer_types(parse_program("p Q Q :- (Q a)."))
-    codes = {d.code for d in validate_definitional(None, report)}
+    codes = {d.code for d in report.violations}
     assert codes == {"E201"}
 
 
 def test_free_body_predicate_variable_is_e203():
     report = infer_types(parse_program("p X :- (Q X)."))
-    codes = {d.code for d in validate_definitional(None, report)}
+    codes = {d.code for d in report.violations}
     assert codes == {"E203"}
 
 
