@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .core import Arrow, HodlError, IOTA, arrow
 from .core import render_type
-from .tm import BLANK, MoveLeft, MoveRight, Write, tm_run
+from .tm import BLANK, MoveRight, Write, tm_run
 from .typecheck import analyze
 
 GENERATOR_VERSION = "1.0"
@@ -109,20 +109,15 @@ def _transition_groups_first_order(machine, d):
                   _atom("state_%s" % s, T),
                   _atom("cursor", T, X),
                   _atom(SYMBOL_NAMES[sym], T, X)]
+        written = act.symbol if isinstance(act, Write) else sym
+        lines.append(_clause(SYMBOL_NAMES[written], [U, X], prefix))
+        lines.append(_clause("state_%s" % act.next_state, [U], prefix))
         if isinstance(act, Write):
-            lines.append(_clause(SYMBOL_NAMES[act.symbol], [U, X], prefix))
-            lines.append(_clause("state_%s" % act.next_state, [U], prefix))
             lines.append(_clause("cursor", [U, X], prefix))
-        elif isinstance(act, MoveRight):
-            lines.append(_clause(SYMBOL_NAMES[sym], [U, X], prefix))
-            lines.append(_clause("state_%s" % act.next_state, [U], prefix))
+        else:
+            succ = "tuple_succ" if isinstance(act, MoveRight) else "tuple_pred"
             lines.append(_clause("cursor", [U, Y],
-                                 prefix + [_atom("tuple_succ", X, Y)]))
-        elif isinstance(act, MoveLeft):
-            lines.append(_clause(SYMBOL_NAMES[sym], [U, X], prefix))
-            lines.append(_clause("state_%s" % act.next_state, [U], prefix))
-            lines.append(_clause("cursor", [U, Y],
-                                 prefix + [_atom("tuple_pred", X, Y)]))
+                                 prefix + [_atom(succ, X, Y)]))
     return lines
 
 
@@ -417,23 +412,15 @@ def higher_order_text(machine, k, d):
                        "(equal%s X %s)" % (suf, cursor_prev),
                        "(state_%s %s)" % (s, prev),
                        "(%s %s %s)" % (SYMBOL_NAMES[sym], prev, cursor_prev)]
+        written = act.symbol if isinstance(act, Write) else sym
+        lines.append(_clause(SYMBOL_NAMES[written], ["T", "X"], symbol_rule))
+        lines.append(_clause("state_%s" % act.next_state, ["T"], common))
         if isinstance(act, Write):
-            lines.append(_clause(SYMBOL_NAMES[act.symbol], ["T", "X"], symbol_rule))
-            lines.append(_clause("state_%s" % act.next_state, ["T"], common))
-            lines.append(_clause("cursor", ["T", I, "V"],
-                                 common + ["(cursor %s %s V)" % (prev, " ".join(I))]))
-        elif isinstance(act, MoveRight):
-            lines.append(_clause(SYMBOL_NAMES[sym], ["T", "X"], symbol_rule))
-            lines.append(_clause("state_%s" % act.next_state, ["T"], common))
-            lines.append(_clause("cursor", ["T", I, "V"],
-                                 common + ["((succ%s %s) %s V)"
-                                           % (suf, cursor_prev, " ".join(I))]))
-        elif isinstance(act, MoveLeft):
-            lines.append(_clause(SYMBOL_NAMES[sym], ["T", "X"], symbol_rule))
-            lines.append(_clause("state_%s" % act.next_state, ["T"], common))
-            lines.append(_clause("cursor", ["T", I, "V"],
-                                 common + ["((pred%s %s) %s V)"
-                                           % (suf, cursor_prev, " ".join(I))]))
+            cell = "(cursor %s %s V)" % (prev, " ".join(I))
+        else:
+            succ = "succ" if isinstance(act, MoveRight) else "pred"
+            cell = "((%s%s %s) %s V)" % (succ, suf, cursor_prev, " ".join(I))
+        lines.append(_clause("cursor", ["T", I, "V"], common + [cell]))
     for name in SYMBOL_NAMES.values():
         lines.append(_clause(name, ["T", "X"],
                              ["(less_than%s X %s)" % (suf, cursor_prev),

@@ -3,9 +3,13 @@
 Both fast engines lower a rule through one `_shape`: its variables, ground
 subterms and called predicate names are numbered out, and each body atom
 becomes an equality, a "rows" atom (read from the rows of a predicate the
-engine holds as relations) or a subgoal call.  Rules of one shape share a
-plan, emitted by one `_source` as Python source of nested loops and
-compiled once per process; a run binds the code to the resources
+engine holds as relations) or a subgoal call.  One planner, `_plan`,
+orders the bodies of both: each time an equality with a known side, else
+the "rows" atom with the most bound positions, else a call whose
+variables are all bound, else the first call left, so that rows and bound
+calls bind variables before a call enumerates them.  Rules of one shape
+share a plan, emitted by one `_source` as Python source of nested loops
+and compiled once per process; a run binds the code to the resources
 `_resources` collects and to its constants.  Facts (`p a b.`) are rows,
 never rules, for both.
 
@@ -315,63 +319,86 @@ def _resources(steps, preds, rel, index):
             for s in steps if s[0] in ("probe", "scan", "member")]
 
 
-# ---------------------------------------------------------------------------
-# Semi-naive engine (first-order)
+def _plan(atoms, slots, focus=None):
+    """The steps of one body, for both engines, led by the delta focus atom
+    `focus` if one is given.
 
-def _plan(atoms, focus, formals, slots):
-    """Static join order for one rule body, led by the delta focus atom
-    `focus` (None for bodies without positive atoms).
-
-    After the focus come equalities with a known side, then the atom with
-    the most bound positions; when only equalities with both sides unbound
-    remain, the left variable of the first one is enumerated over the
-    universe.  Which positions are bound depends only on the earlier
-    steps, never on tuple values, so the order is fixed before any tuple
-    is read.  Then the formals the body leaves unbound are enumerated, and
-    the last step emits the head.
+    Then comes, each time, the first equality with a known side; else the
+    first "rows" atom with the most bound positions, which binds its free
+    variables from the matching rows; else the first call whose variables
+    are all bound, and failing that the first call left, its free
+    variables enumerated over the universe in sorted-name order and its
+    applications interned.  When only equalities with both sides unbound
+    remain, the left side of the first is enumerated.  Which terms are
+    bound depends only on the earlier steps, never on a value, so the
+    order is fixed before any row is read.
     """
     work = list(range(len(atoms)))
     steps = []
     if focus is not None:
         work.remove(focus)
         steps.append(_match_step("delta", focus, atoms[focus], slots))
+
+    def ground(t):
+        """The slot of a term whose variables are bound; an application
+        is interned into a slot of its own."""
+        if t[0] == "a" and t not in slots.of:
+            fn, arg = ground(t[1]), ground(t[2])
+            steps.append(("app", slots.fresh(t), fn, arg))
+        return slots.of[t]
+
+    def rank(i):
+        atom = atoms[i]
+        if atom[0] == "eq":
+            return 3 if atom[1] in slots.of or atom[2] in slots.of else 0, 0
+        if atom[0] == "rows":
+            return 2, sum(1 for t in atom[1] if t in slots.of)
+        return 1, all(v in slots.of for v in atom[3])
+
     while work:
-        pick, best = None, -1
-        for i in work:
-            atom = atoms[i]
-            if atom[0] == "eq":
-                if atom[1] in slots.of or atom[2] in slots.of:
-                    pick = i
-                    break
-            else:
-                bound = sum(1 for t in atom[1] if t in slots.of)
-                if bound > best:
-                    pick, best = i, bound
-        if pick is None:
-            steps.append(("enum", slots.fresh(atoms[work[0]][1])))
+        pick = max(work, key=rank)
+        atom = atoms[pick]
+        if rank(pick)[0] == 0:  # the first of the unbound equalities left
+            steps.append(("enum", slots.fresh(atom[1])))
             continue
         work.remove(pick)
-        atom = atoms[pick]
-        steps.append(_match_step("probe", pick, atom, slots)
-                     if atom[0] == "rows" else _eq_step(atom, slots))
-    for f in dict.fromkeys(formals):
-        if f not in slots.of:
-            steps.append(("enum", slots.fresh(f)))
-    steps.append(("emit", [slots.of[f] for f in formals]))
+        if atom[0] == "eq":
+            steps.append(_eq_step(atom, slots))
+        elif atom[0] == "rows":
+            for t in atom[1]:
+                if t[0] == "a":
+                    ground(t)
+            steps.append(_match_step("probe", pick, atom, slots))
+        else:
+            _, head, terms, variables, closure = atom
+            steps += [("enum", slots.fresh(v)) for v in variables
+                      if v not in slots.of]
+            steps.append(("call", ground(head), [ground(t) for t in terms],
+                          closure))
     return steps
 
+
+# ---------------------------------------------------------------------------
+# Semi-naive engine (first-order)
 
 @functools.lru_cache(maxsize=512)
 def _rule_plans(key):
     """(focus, steps, factory) for each delta focus of a rule shape (a
     `_shape` key): every atom that is not an equality, or None when there
-    is none.  Each shape is planned and compiled once per process, for
-    every program it occurs in; the cache holds the 512 latest shapes."""
+    is none.  The body `_plan` orders is followed by enumerations of the
+    formals it leaves unbound and a step that emits the head.  Each shape
+    is planned and compiled once per process, for every program it occurs
+    in; the cache holds the 512 latest shapes."""
     formals, atoms, consts = key
     foci = [i for i, a in enumerate(atoms) if a[0] == "rows"]
     out = []
     for focus in foci or [None]:
-        steps = _plan(atoms, focus, formals, _Slots(consts))
+        slots = _Slots(consts)
+        steps = _plan(atoms, slots, focus)
+        for f in dict.fromkeys(formals):
+            if f not in slots.of:
+                steps.append(("enum", slots.fresh(f)))
+        steps.append(("emit", [slots.of[f] for f in formals]))
         ctx = ["rows"] if focus is not None else []
         out.append((focus, steps, _compile(_source(
             steps, consts, consts, "add, tick, budget, universe", ctx))))
@@ -502,53 +529,18 @@ def least_model_seminaive(prog, cfg=None):
 def _demand_body(key):
     """(steps, factory) of a demand clause shape (a `_shape` key).
 
-    The order is fixed before any id is read.  Formals are bound on entry.
-    Then comes, each time, the first atom left that is not an equality or
-    has a known side; when only equalities with both sides unbound remain,
-    the left side of the first is enumerated over the universe.  A "rows"
-    atom binds its free variables from the fact rows that match its bound
-    positions.  A call enumerates its free variables over the universe, in
-    sorted-name order, and goes on where its goal is true.  The factory's
-    `run(key, formal id, ...)` is true once one instance of the body
-    holds, `key` being the goal it runs for.  Each shape is planned and
-    compiled once per process, like `_rule_plans`.
+    Formals are bound on entry, and `_plan` orders the body after them: a
+    "rows" atom binds its free variables from the fact rows that match its
+    bound positions, and a call goes on where its goal is true.  The
+    factory's `run(key, formal id, ...)` is true once one instance of the
+    body holds, `key` being the goal it runs for.  Each shape is planned
+    and compiled once per process, like `_rule_plans`.
     """
     formals, atoms, consts = key
     slots = _Slots(consts)
     for f in formals:
         slots.fresh(f)
-    steps = []
-
-    def ground(t):
-        """The slot of a term whose variables are bound; an application
-        is interned into a slot of its own."""
-        if t[0] == "a" and t not in slots.of:
-            fn, arg = ground(t[1]), ground(t[2])
-            steps.append(("app", slots.fresh(t), fn, arg))
-        return slots.of[t]
-
-    work = list(enumerate(atoms))
-    while work:
-        pick = next((j for j, (_, a) in enumerate(work) if a[0] != "eq"
-                     or a[1] in slots.of or a[2] in slots.of), None)
-        if pick is None:
-            steps.append(("enum", slots.fresh(work[0][1][1])))
-            continue
-        i, atom = work.pop(pick)
-        if atom[0] == "eq":
-            steps.append(_eq_step(atom, slots))
-        elif atom[0] == "rows":
-            for t in atom[1]:
-                if t[0] == "a":
-                    ground(t)
-            steps.append(_match_step("probe", i, atom, slots))
-        else:
-            _, head, terms, variables, closure = atom
-            steps += [("enum", slots.fresh(v)) for v in variables
-                      if v not in slots.of]
-            steps.append(("call", ground(head), [ground(t) for t in terms],
-                          closure))
-    steps.append(("return",))
+    steps = _plan(atoms, slots) + [("return",)]
     return steps, _compile(_source(steps, consts, consts + len(formals),
                                    "mk, call, spine, universe", ["key"]))
 

@@ -286,8 +286,8 @@ def classify_order_from_signatures(signatures):
 # ---------------------------------------------------------------------------
 # Desugaring to the definitional core
 
-def desugar(src, report=None):
-    """Lower a SourceProgram to a core Program.
+def desugar(src, report):
+    """Lower a SourceProgram, typed by `report`, to a core Program.
 
     Head individual constants and repeated head variables become fresh
     formals equated in the body (paper-style: `p a.` turns into
@@ -295,8 +295,6 @@ def desugar(src, report=None):
     Raises TypeCheckError on E101 clashes; Wadge violations are reported
     through infer_types and left to the caller.
     """
-    if report is None:
-        report = infer_types(src)
     hard = [d for d in report.violations if d.code == "E101"]
     if hard:
         raise TypeCheckError(hard)
