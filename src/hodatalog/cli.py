@@ -154,12 +154,12 @@ def crosscheck_row(prog, machine, w, k, d, budget):
     oracle = tm_run(machine, w, _sim_bound(k, d, len(w)))
     cfg = EngineConfig(engine="seminaive" if k == 1 else "demand",
                        step_budget=budget)
-    merged = merge(prog, encode_input(w))
-    accept, steps, unit = _run_engine(merged, cfg)
+    accept, steps, unit = _run_engine(prog, w, cfg)
     verdict = "accept" if accept else "reject"
     oracle_verdict = "accept" if oracle.accepted else "reject"
     agree = verdict == oracle_verdict
     if k == 1:
+        merged = merge(prog, encode_input(w))
         bound = iteration_bound(compute_stats(merged), len(w), 1)
         if steps > bound:
             print("error: %r took %d rounds, over the bound p*(n+c)^t = %d"
@@ -168,8 +168,18 @@ def crosscheck_row(prog, machine, w, k, d, budget):
     return (w, oracle_verdict, verdict, agree, steps, unit)
 
 
-def _row_worker(packed):
-    prog, machine, w, k, d, budget = packed
+_job = None  # (prog, machine, k, d, budget) of a worker's crosscheck
+
+
+def _start_worker(*job):
+    """Receive the crosscheck once per worker process, so that each worker
+    prepares the program once."""
+    global _job
+    _job = job
+
+
+def _row_worker(w):
+    prog, machine, k, d, budget = _job
     return crosscheck_row(prog, machine, w, k, d, budget)
 
 
@@ -195,12 +205,15 @@ def cmd_crosscheck(args):
                   file=sys.stderr)
             return EXIT_ERROR
     report = CrosscheckReport(machine.name, k, d)
-    jobs = [(prog, machine, w, k, d, args.budget) for w in words]
+    job = (prog, machine, k, d, args.budget)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_row_worker, jobs))
+        with ProcessPoolExecutor(max_workers=args.jobs,
+                                 initializer=_start_worker,
+                                 initargs=job) as pool:
+            results = list(pool.map(_row_worker, words))
     else:
-        results = [_row_worker(j) for j in jobs]
+        results = [crosscheck_row(prog, machine, w, k, d, args.budget)
+                   for w in words]
     report.rows.extend(results)
     print(report.render())
     if args.csv:

@@ -22,36 +22,47 @@ def _fact(pred, args):
     return Clause(pred, formals, body)
 
 
-def encode_input(w):
-    """Facts for input/3: an ordered chain of positions ending in `end`."""
+def input_rows(w):
+    """The constant names of each input/3 fact of w: an ordered chain of
+    positions ending in `end`."""
     for ch in w:
         if ch not in ALPHABET:
             raise EncodingError("character %r outside alphabet {a, b}" % ch)
     n = len(w)
     if n == 0:
-        return [_fact("input", ["0", EMPTY, END])]
-    facts = []
-    for i, ch in enumerate(w):
-        nxt = END if i == n - 1 else str(i + 1)
-        facts.append(_fact("input", [str(i), ch, nxt]))
-    return facts
+        return [("0", EMPTY, END)]
+    return [(str(i), ch, END if i == n - 1 else str(i + 1))
+            for i, ch in enumerate(w)]
 
 
-def merge(prog, facts):
-    """Union a program with ground input/3 facts."""
+def encode_input(w):
+    """Facts for input/3: an ordered chain of positions ending in `end`."""
+    return [_fact("input", row) for row in input_rows(w)]
+
+
+def merged_constants(prog, rows):
+    """The constants of prog merged with input/3 rows: prog's own, then
+    each new one in first-occurrence order.  Raises EncodingError if prog
+    declares input at another type."""
     declared = prog.signatures.get("input")
     if declared is not None and declared != INPUT_TYPE:
         raise EncodingError("program declares input at type %r" % declared)
-    signatures = dict(prog.signatures)
-    signatures["input"] = INPUT_TYPE
     constants = list(prog.constants)
     if constants == [DESIGNATED_CONSTANT] and not prog.clauses:
         constants = []
     seen = set(constants)
-    for cl in facts:
-        for b in cl.body:
-            c = b.right.name
+    for row in rows:
+        for c in row:
             if c not in seen:
                 seen.add(c)
                 constants.append(c)
+    return constants
+
+
+def merge(prog, facts):
+    """Union a program with ground input/3 facts."""
+    constants = merged_constants(
+        prog, [[b.right.name for b in cl.body] for cl in facts])
+    signatures = dict(prog.signatures)
+    signatures["input"] = INPUT_TYPE
     return Program(signatures, list(prog.clauses) + list(facts), constants)

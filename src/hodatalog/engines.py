@@ -1,36 +1,34 @@
 """Production evaluation engines.
 
-Both fast engines lower a rule through one `_shape`: its variables, ground
-subterms and called predicate names are numbered out, and each body atom
-becomes an equality, a "rows" atom (read from the rows of a predicate the
-engine holds as relations) or a subgoal call.  One planner, `_plan`,
-orders the bodies of both: each time an equality with a known side, else
-the "rows" atom with the most bound positions, else a call whose
-variables are all bound, else the first call left, so that rows and bound
-calls bind variables before a call enumerates them.  Rules of one shape
-share a plan, emitted by one `_source` as Python source of nested loops
-and compiled once per process; a run binds the code to the resources
-`_resources` collects and to its constants.  Facts (`p a b.`) are rows,
-never rules, for both.
+A program is prepared once, on its first decision (`_prepare`), and the
+preparation is kept while the program lives and its clauses stay the
+same; a decision on it adds only its input rows.  Preparing keeps facts
+(`p a b.`) apart as rows, never rules, and lowers each rule through one
+`_shape` for both fast engines: its variables, ground subterms and called
+predicate names are numbered out, and each body atom becomes an equality,
+a "rows" atom (read from the rows of a predicate held as a relation) or a
+subgoal call.  One planner, `_plan`, orders both engines' bodies, so that
+rows and bound calls bind variables before a call enumerates them.  Rules
+of one shape share a plan, emitted by one `_source` as Python source of
+nested loops and compiled once per process; a run binds the code to the
+resources `_resources` collects and to its constants.
 
 * least_model_seminaive: delta-driven bottom-up evaluation for first-order
-  programs (all relations over individuals); every predicate is a "rows"
-  predicate.  Relations hold tuples of the model's own interned `Ind`s, so
-  the model is a copy of the fixpoint's sets.  Facts are rows of the first
-  round.  Each rule shape is planned once per delta focus into a static
-  join order over variable slots.  Probes go through one hash index per
-  (predicate, bound positions), built the first time a plan needs it and
-  extended with every round's new tuples; a probe that binds every
-  position tests the relation itself.
+  programs; every predicate is a "rows" predicate, and relations hold
+  tuples of the model's own interned `Ind`s, so the model is a copy of
+  the fixpoint's sets.  Each rule shape is planned once per delta focus.
+  Probes go through one hash index per (predicate, bound positions); a
+  probe that binds every position tests the relation itself.  Only live
+  indexes, those a recurring plan probes, are kept and extended with each
+  round's new tuples.  A plan recurs if its focus predicate heads a rule;
+  a plan focused on a predicate given by facts alone runs in round 1 only.
 * DemandEngine: demand-driven tabled evaluation for higher-order
   programs.  Ground terms are hash-consed into int ids, and a ground goal
-  is memoized under (pred name, arg id, ...); facts are indexed rows of
-  ids, and an atom of a predicate given only by facts is a "rows" atom,
-  looked up, never tabled.  A predicate's rules are lowered, planned into
-  a fixed binding order and bound on its first call.  The table is driven
-  to a least fixpoint by propagating false-to-true flips to recorded
-  dependents, in the order they were recorded.  Trace lines, rendered
-  from the ids without recursion, go to stderr.
+  is memoized under (pred name, arg id, ...); an atom of a predicate given
+  only by facts is a "rows" atom, looked up in indexed rows of ids, never
+  tabled.  The table is driven to a least fixpoint by propagating
+  false-to-true flips to recorded dependents, in the order they were
+  recorded.  Trace lines, rendered without recursion, go to stderr.
 * decide: the accept/reject entry point.  It and the CLI's crosscheck go
   through `_run_engine`, the one place that picks an engine by name.
 """
@@ -40,15 +38,15 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import (App, BudgetExhaustedError, Const, Eq, HodlError, OMICRON,
                    Pred, Var, app_spine, expr_vars, type_order)
-from .encode import encode_input, merge
-from .semantics import (TRUE, Bool, FixpointResult, Ind, Rel,
-                        herbrand_universe, least_model_naive)
+from .encode import encode_input, input_rows, merge, merged_constants
+from .semantics import TRUE, Bool, FixpointResult, Ind, Rel, least_model_naive
 
 
 class EngineError(HodlError):
@@ -74,7 +72,7 @@ class EngineConfig:
 def _fact_row(cl):
     """The constant names of a fact, a clause whose body only equates each
     formal once with a constant (as `p a b.` is lowered), in formal order;
-    else None.  The seminaive and demand engines take facts as rows."""
+    else None."""
     row = {}
     for b in cl.body:
         if not (isinstance(b, Eq) and isinstance(b.left, Var)
@@ -89,18 +87,16 @@ def _fact_row(cl):
 
 def _shape(cl, rows):
     """A rule clause with its names taken out, for both engines: (key, atom
-    predicate names, constants).
+    predicate names, constants).  Clauses that differ only in names share
+    a key and a plan.
 
     The key is (formals, atoms, number of constants).  Variables are
     numbered by first occurrence, formals first, as ("v", i); ground
-    subterms and the names of called predicates share one numbering, ("c",
-    j); an application with variables is ("a", fn, arg).  An atom is ("eq",
-    left, right), ("rows", terms) for a predicate in `rows`, its name at the
-    atom's index, or ("call", head, terms, variables, closure-headed) for any
-    other, its head the name's constant or, closure-headed, a term.  The
-    variables of a call follow the sorted order of their names.  A constant
-    is a ground term, or the name (a str) of a called predicate.  Clauses
-    that differ only in names share a key and a plan.
+    subterms and called predicates' names (str) share ("c", j); an
+    application with variables is ("a", fn, arg).  An atom is ("eq", left,
+    right), ("rows", terms) for a predicate in `rows`, or ("call", head,
+    terms, variables in sorted-name order, closure-headed), its head the
+    name's constant or, closure-headed, a term.
     """
     var, const, preds, atoms = {}, {}, [], []
 
@@ -211,17 +207,15 @@ _MAX_DEPTH = 16
 
 def _source(steps, consts, bound, params, ctx):
     """Python source of `make(R, C, <params>)`, which binds a plan's
-    resources R (per probe step an index's `get`, per scan or member step
-    a relation) and constants C, and returns `run(<ctx>, ...)`, whose
-    further parameters are the slots from `consts` to `bound`.
+    resources R (`_resources`) and constants C, and returns `run(<ctx>,
+    ...)`, whose further parameters are the slots from `consts` to `bound`.
 
     Slot i is the local `si`.  Each step is a `for` over rows or an `if`,
     nested in the one before, or a line of straight code: an "app" step
     interns an application with `mk`, and a "call" step tests a subgoal
-    with `call(goal key, key)`.  The last step is the innermost block:
-    "emit" ticks the budget and adds the head tuple, "return" ends the run
-    true.  The source names only slots, positions, steps and its own
-    variables, never a predicate, constant or term of the program.
+    with `call(goal key, key)`.  The innermost step "emit" ticks the
+    budget and adds the head tuple, or "return" ends the run true.  The
+    source never names a predicate, constant or term of the program.
     """
     lines = ["def make(R, C, %s):" % params]
     res = [n for n, s in enumerate(steps) if s[0] in ("probe", "scan", "member")]
@@ -247,7 +241,7 @@ def _source(steps, consts, bound, params, ctx):
             bound = step[1] + 1
             continue
         if kind == "emit":
-            lines += [pad + "if tick() > budget:",
+            lines += [pad + "if next(tick) > budget:",
                       pad + ' raise BudgetExhaustedError("unknown: budget")',
                       pad + "add(%s)" % _tuple("s%d" % i for i in step[1])]
             continue
@@ -321,17 +315,14 @@ def _resources(steps, preds, rel, index):
 
 def _plan(atoms, slots, focus=None):
     """The steps of one body, for both engines, led by the delta focus atom
-    `focus` if one is given.
-
-    Then comes, each time, the first equality with a known side; else the
-    first "rows" atom with the most bound positions, which binds its free
-    variables from the matching rows; else the first call whose variables
-    are all bound, and failing that the first call left, its free
-    variables enumerated over the universe in sorted-name order and its
-    applications interned.  When only equalities with both sides unbound
-    remain, the left side of the first is enumerated.  Which terms are
-    bound depends only on the earlier steps, never on a value, so the
-    order is fixed before any row is read.
+    `focus` if one is given.  Then comes, each time, the first equality
+    with a known side; else the first "rows" atom with the most bound
+    positions, which binds its free variables from the matching rows; else
+    the first call whose variables are all bound, and failing that the
+    first call left, its free variables enumerated over the universe in
+    sorted-name order and its applications interned.  When only equalities
+    with both sides unbound remain, the left side of the first is
+    enumerated.  The order is fixed before any row is read.
     """
     work = list(range(len(atoms)))
     steps = []
@@ -379,6 +370,95 @@ def _plan(atoms, slots, focus=None):
 
 
 # ---------------------------------------------------------------------------
+# Programs prepared once
+
+class _Prepared:
+    """A program lowered once, for every decision made on it: facts as rows
+    of constant names, rules by head, and on first use the seminaive half
+    and each demand predicate's lowered rules.  Copies of the program's
+    lists and signatures tell when it changed; it is not held itself."""
+
+    def __init__(self, prog):
+        self.clauses, self.constants, self.signatures = (
+            list(prog.clauses), list(prog.constants), dict(prog.signatures))
+        self.facts = {}  # pred -> [row of constant names, ...]
+        self.rules = {}  # pred -> [rule Clause, ...]
+        for cl in prog.clauses:
+            row = _fact_row(cl)
+            if row is None:
+                self.rules.setdefault(cl.head, []).append(cl)
+            else:
+                self.facts.setdefault(cl.head, []).append(row)
+        self.demand = {}  # (pred, input is extensional) -> [body, ...]
+        self.plans = None
+
+    def bodies(self, pred, extensional):
+        """(preds, consts, steps, make) of pred's rules for a demand engine
+        with these `extensional` predicates (they differ only in input)."""
+        key = pred, "input" in extensional
+        rules = self.demand.get(key)
+        if rules is None:
+            rules = self.demand[key] = []
+            for cl in self.rules.get(pred, ()):
+                shape, preds, consts = _shape(cl, extensional)
+                rules.append((preds, consts, *_demand_body(shape)))
+        return rules
+
+    def seminaive(self):
+        """Self, with the seminaive half made: `universe` and fact `rows` in
+        `Ind`s; plans (head, preds, consts, steps, make) with no focus
+        (`seeds`) and by focus predicate (`plans`), with the heads each
+        focus's plans emit (`heads`); and the (pred, key positions) that a
+        plan whose focus heads a rule probes (`live`).  Any other plan runs
+        in round 1 only, the one round its focus has a delta."""
+        if self.plans is not None:
+            return self
+        for p, ty in self.signatures.items():
+            if type_order(ty) > 1:
+                raise EngineError("seminaive engine requires a first-order "
+                                  "program (predicate %s has order %d)"
+                                  % (p, type_order(ty)))
+        self.universe = list(map(Ind, self.constants))
+        self.rows = {p: [tuple(map(Ind, row)) for row in rows]
+                     for p, rows in self.facts.items()}
+        seeds, plans, heads = [], {}, {}
+        for head, rules in self.rules.items():
+            for cl in rules:
+                key, preds, consts = _shape(cl, self.signatures)
+                consts = tuple(Ind(c.name) for c in consts)
+                for focus, steps, make in _rule_plans(key):
+                    plan = (head, preds, consts, steps, make)
+                    if focus is None:
+                        seeds.append(plan)
+                        continue
+                    plans.setdefault(preds[focus], []).append(plan)
+                    heads.setdefault(preds[focus], {})[head] = None
+        self.live = {(preds[s[1]], s[2]) for p, ps in plans.items()
+                     if p in self.rules for _, preds, _, steps, _ in ps
+                     for s in steps if s[0] == "probe"}
+        self.seeds, self.heads, self.plans = seeds, heads, plans
+        return self
+
+
+_PREPARED = {}  # id(prog) -> (weak reference to prog, its _Prepared)
+
+
+def _prepare(prog):
+    """prog's `_Prepared`, made on its first decision and kept while prog
+    lives and its clause list, constants and signatures stay the same; a
+    clause object changed in place is not noticed."""
+    ref, prep = _PREPARED.get(id(prog), (None, None))
+    if ref is not None and ref() is prog and (
+            prep.clauses, prep.constants, prep.signatures) == (
+            prog.clauses, prog.constants, prog.signatures):
+        return prep
+    key, prep = id(prog), _Prepared(prog)
+    ref = weakref.ref(prog, lambda _: _PREPARED.pop(key, None))
+    _PREPARED[key] = ref, prep
+    return prep
+
+
+# ---------------------------------------------------------------------------
 # Semi-naive engine (first-order)
 
 @functools.lru_cache(maxsize=512)
@@ -386,9 +466,8 @@ def _rule_plans(key):
     """(focus, steps, factory) for each delta focus of a rule shape (a
     `_shape` key): every atom that is not an equality, or None when there
     is none.  The body `_plan` orders is followed by enumerations of the
-    formals it leaves unbound and a step that emits the head.  Each shape
-    is planned and compiled once per process, for every program it occurs
-    in; the cache holds the 512 latest shapes."""
+    formals it leaves unbound and a step that emits the head.  Each of the
+    512 latest shapes is planned and compiled once per process."""
     formals, atoms, consts = key
     foci = [i for i, a in enumerate(atoms) if a[0] == "rows"]
     out = []
@@ -411,17 +490,26 @@ class _Joins:
     `total[p]` holds the tuples derived for p so far and changes only in
     place, between rounds, so a bound plan can hold it.  `out[p]`
     collects the head tuples emitted during a round.  An index maps the
-    value at one key position, or the tuple of values at several, to the
-    rows having it.
+    value at one key position, or the tuple at several, to the rows having
+    it.  Only `live` indexes are kept and extended; any other is built for
+    the round-1 plan that probes it.
     """
 
-    def __init__(self, universe, budget):
-        self.universe = universe
-        self.budget = budget
+    def __init__(self, universe, budget, live, preds, facts):
+        """Each of `preds` starts empty, and round 0's output is the rows of
+        `facts`, {pred: [row, ...]}, one step of the budget each."""
+        self.universe, self.budget, self.live = universe, budget, live
         self.total = {}
         self.out = {}
         self.indexes = {}  # pred -> {key positions: {key: [row, ...]}}
-        self.tick = itertools.count(1).__next__
+        for p in (*preds, *facts):
+            self.rel(p)
+        for p, rows in facts.items():
+            self.out[p].update(rows)
+        n = sum(map(len, facts.values()))
+        if n > budget:
+            raise BudgetExhaustedError("unknown: budget")
+        self.tick = itertools.count(n + 1)  # the next step's number
 
     def rel(self, p):
         if p not in self.total:
@@ -430,18 +518,23 @@ class _Joins:
         return self.total[p]
 
     def index(self, p, positions):
-        by_positions = self.indexes.setdefault(p, {})
+        by_positions = (self.indexes.setdefault(p, {})
+                        if (p, positions) in self.live else {})
         idx = by_positions.get(positions)
         if idx is None:
             idx = by_positions[positions] = {}
             _extend(idx, positions, self.rel(p))
         return idx
 
-    def end_round(self):
-        """Add each predicate's new tuples to its relation and indexes, and
-        return them as the next delta (predicates without any left out)."""
+    def end_round(self, preds):
+        """Add the new tuples of each of `preds`, those that may have
+        emitted this round, to its relation and indexes, and return them
+        as the next delta (predicates without any left out)."""
         delta = {}
-        for p, out in self.out.items():
+        for p in preds:
+            out = self.out[p]
+            if not out:
+                continue
             new = out - self.total[p]
             out.clear()
             if new:
@@ -460,59 +553,44 @@ class _Joins:
                     self.universe)
 
 
-def _seminaive_fixpoint(prog, cfg):
+def _seminaive_fixpoint(prog, cfg, inputs=None):
     """The least model's relations, as {pred: set of tuples of `Ind`s}, and
-    the number of productive rounds.  Each fact is a row of the first
-    round, and ticks the budget as a derived tuple does."""
-    for p, ty in prog.signatures.items():
-        if type_order(ty) > 1:
-            raise EngineError("seminaive engine requires a first-order program"
-                              " (predicate %s has order %d)" % (p, type_order(ty)))
-    joins = _Joins(list(map(Ind, herbrand_universe(prog))), cfg.step_budget)
-    for p in prog.signatures:
-        joins.rel(p)
-    seeds = []
-    plans = {}  # focus predicate -> [[head, preds, consts, steps, make, run]]
-    for cl in prog.clauses:
-        row = _fact_row(cl)
-        if row is not None:
-            if joins.tick() > joins.budget:
-                raise BudgetExhaustedError("unknown: budget")
-            joins.rel(cl.head)
-            joins.out[cl.head].add(tuple(map(Ind, row)))
-            continue
-        key, preds, consts = _shape(cl, prog.signatures)
-        consts = tuple(Ind(c.name) for c in consts)
-        for focus, steps, make in _rule_plans(key):
-            plan = [cl.head, preds, consts, steps, make, None]
-            if focus is None:
-                seeds.append(plan)
-            else:
-                plans.setdefault(preds[focus], []).append(plan)
-
-    for plan in seeds:
-        joins.bind(*plan[:5])()
-    delta, iterations = joins.end_round(), 0
+    the number of productive rounds, for prog with `inputs`: None, or the
+    rows of input/3 facts added to it and the merged constants."""
+    prep = _prepare(prog).seminaive()
+    universe, facts = prep.universe, prep.rows
+    if inputs is not None:
+        universe = list(map(Ind, inputs[1]))
+        facts = {**facts, "input": facts.get("input", [])
+                 + [tuple(map(Ind, row)) for row in inputs[0]]}
+    joins = _Joins(universe, cfg.step_budget, prep.live, prep.signatures,
+                   facts)
+    for plan in prep.seeds:
+        joins.bind(*plan)()
+    delta, iterations = joins.end_round(joins.out), 0
+    runs = {}  # focus predicate -> its plans' runs, bound on first use
     while delta:
         iterations += 1
+        heads = {}
         for p, rows in delta.items():
-            for plan in plans.get(p, ()):
-                if plan[5] is None:  # first use: build the plan's indexes
-                    plan[5] = joins.bind(*plan[:5])
-                plan[5](rows)
-        delta = joins.end_round()
+            bound = runs.get(p)
+            if bound is None:
+                bound = runs[p] = [joins.bind(*plan)
+                                   for plan in prep.plans.get(p, ())]
+            for run in bound:
+                run(rows)
+            heads.update(prep.heads.get(p, ()))
+        delta = joins.end_round(heads)
     return joins.total, iterations
 
 
 def least_model_seminaive(prog, cfg=None):
     """Delta-driven bottom-up fixpoint for first-order programs.
 
-    The step budget of `cfg` counts fact rows and derived head tuples: one
-    step per fact row and per tuple a rule body yields, duplicates
-    included.  BudgetExhaustedError is raised once the count passes the
-    budget.  The fixpoint's tuples already hold the model's `Ind`s, so
-    each relation of the model is a copy of its set, with nothing
-    rehashed.
+    The step budget of `cfg` counts one step per fact row and per tuple a
+    rule body yields, duplicates included; BudgetExhaustedError is raised
+    once the count passes the budget.  Each relation of the model is a
+    copy of a fixpoint set.
     """
     total, iterations = _seminaive_fixpoint(prog, cfg or EngineConfig())
     interp = {}
@@ -527,15 +605,11 @@ def least_model_seminaive(prog, cfg=None):
 
 @functools.lru_cache(maxsize=512)
 def _demand_body(key):
-    """(steps, factory) of a demand clause shape (a `_shape` key).
-
-    Formals are bound on entry, and `_plan` orders the body after them: a
-    "rows" atom binds its free variables from the fact rows that match its
-    bound positions, and a call goes on where its goal is true.  The
-    factory's `run(key, formal id, ...)` is true once one instance of the
-    body holds, `key` being the goal it runs for.  Each shape is planned
-    and compiled once per process, like `_rule_plans`.
-    """
+    """(steps, factory) of a demand clause shape (a `_shape` key), planned
+    and compiled once per process, like `_rule_plans`.  Formals are bound
+    on entry, and `_plan` orders the body after them.  The factory's
+    `run(key, formal id, ...)` is true once one instance of the body
+    holds, `key` being the goal it runs for."""
     formals, atoms, consts = key
     slots = _Slots(consts)
     for f in formals:
@@ -546,42 +620,38 @@ def _demand_body(key):
 
 
 class DemandEngine:
-    """Tabled evaluation of ground goals against a fixed program.
+    """Tabled evaluation of ground goals against a fixed program, with
+    `inputs`: None, or the rows of input/3 facts added to it and the
+    merged constants.
 
-    Ground terms are hash-consed: each is interned once as an int id, a
-    leaf as ("c", name) or ("p", name) and an application as (fn id, arg
-    id), so equal terms have equal ids however deep they are.  A goal's
-    table key is (pred name, arg id, ...), or ("=", left id, right id) for
-    an equation; a closure-headed goal flattens through the id table.
-    Facts (`p a b.`) become rows of ids, checked before a goal's rules.
-    A predicate's rules are lowered (`_shape`) on its first call; each
-    body is planned once per clause shape (`_demand_body`) and runs as
-    compiled Python code bound to this engine's ids, facts and table: an
-    atom of a predicate with facts and no rules binds its free
-    variables from an index of the rows and is never tabled; any other
-    atom tries each constant for its free ones and is looked up as a
-    subgoal, recording the dependency.  Entries start false and may flip
-    to true exactly once; a flip re-enqueues the goals recorded as
-    depending on it, in the order they were recorded, so the stable table
-    is the least fixpoint over the discovered goals.
+    Ground terms are interned as int ids, a leaf as ("c", name) or ("p",
+    name) and an application as (fn id, arg id), so equal terms have equal
+    ids however deep they are.  A goal's table key is (pred name, arg id,
+    ...), or ("=", left id, right id) for an equation; a closure-headed
+    goal flattens through the id table.  Fact rows are checked before a
+    goal's rules, whose bodies (`_demand_body`) are bound to this engine
+    on the predicate's first call in a `solve`.  Entries start false and
+    may flip to true exactly once; a flip re-enqueues the goals recorded
+    as depending on it, so the stable table is the least fixpoint over
+    the discovered goals.
     """
 
-    def __init__(self, prog, cfg=None):
+    def __init__(self, prog, cfg=None, inputs=None):
         self.cfg = cfg or EngineConfig()
+        self.prep = _prepare(prog)
         self.nodes = []  # id -> node
         self.ids = {}  # node -> id
         self.texts = {}  # id -> text, for traces
-        self.universe = [self._id(("c", c)) for c in herbrand_universe(prog)]
-        self.clauses = {}  # pred -> [rule Clause, ...]
-        self.facts = {}  # pred -> {row of arg ids: None}, in insertion order
-        for cl in prog.clauses:
-            row = _fact_row(cl)
-            if row is None:
-                self.clauses.setdefault(cl.head, []).append(cl)
-            else:
-                row = tuple(self._id(("c", c)) for c in row)
-                self.facts.setdefault(cl.head, {})[row] = None
-        self.extensional = self.facts.keys() - self.clauses.keys()
+        facts, names = self.prep.facts, prog.constants
+        if inputs is not None:
+            facts = {**facts, "input": facts.get("input", []) + inputs[0]}
+            names = inputs[1]
+        self.universe = [self._id(("c", c)) for c in names]
+        # pred -> {row of arg ids: None}, in insertion order
+        self.facts = {p: dict.fromkeys(tuple(self._id(("c", c)) for c in row)
+                                       for row in rows)
+                      for p, rows in facts.items()}
+        self.extensional = self.facts.keys() - self.prep.rules.keys()
         self.indexes = {}  # (pred, key positions) -> {key: [row, ...]}
         self.table = {}
         self.deps = {}  # key -> {dependent key: None}, in insertion order
@@ -687,13 +757,10 @@ class DemandEngine:
                     if not self.table[d]:
                         self.pending.append(d)
 
-    def _bind(self, cl):
-        """A rule's body, lowered, compiled for its shape and bound to this
-        engine; an index of fact rows it probes is built here if it is
-        new."""
-        key, preds, consts = _shape(cl, self.extensional)
+    def _bind(self, preds, consts, steps, make):
+        """A rule's body bound to this engine; an index of fact rows it
+        probes is built here if it is new."""
         consts = [c if type(c) is str else self._term_id(c) for c in consts]
-        steps, make = _demand_body(key)
         res = _resources(steps, preds, self.facts.__getitem__, self._index)
         return make(res, consts, self._id, self._call, self._spine,
                     self.universe)
@@ -712,8 +779,9 @@ class DemandEngine:
             return True
         rules = bodies.get(key[0])
         if rules is None:
-            rules = bodies[key[0]] = [
-                self._bind(cl) for cl in self.clauses.get(key[0], ())]
+            rules = bodies[key[0]] = [self._bind(*body) for body in
+                                      self.prep.bodies(key[0],
+                                                       self.extensional)]
         for body in rules:
             if body(key, *key[1:]):
                 return True
@@ -723,26 +791,31 @@ class DemandEngine:
 # ---------------------------------------------------------------------------
 # Engine dispatch
 
-def _run_engine(merged, cfg):
-    """Run the engine `cfg` names on a program that already holds its input
-    facts.  Returns (accept holds, steps taken, the unit of those steps)."""
+def _run_engine(prog, w, cfg):
+    """Run the engine `cfg` names on prog with the input facts of w (None:
+    none); the fast engines take them as rows added to the prepared prog.
+    Returns (accept holds, steps taken, the unit of those steps)."""
+    inputs = None
+    if w is not None:
+        rows = input_rows(w)
+        inputs = rows, merged_constants(prog, rows)
     if cfg.engine == "seminaive":
-        total, rounds = _seminaive_fixpoint(merged, cfg)
+        total, rounds = _seminaive_fixpoint(prog, cfg, inputs)
         return () in total.get("accept", ()), rounds, "rounds"
     if cfg.engine == "naive":
+        merged = prog if w is None else merge(prog, encode_input(w))
         res = least_model_naive(merged, cfg.domain_cap, cfg.step_budget)
         return (res.interpretation.get("accept") == TRUE, res.iterations,
                 "T_P applications")
     if cfg.engine == "demand":
-        eng = DemandEngine(merged, cfg)
+        eng = DemandEngine(prog, cfg, inputs)
         return eng.solve(Pred("accept")), eng.steps, "goal runs"
     raise EngineError("unknown engine %r" % cfg.engine)
 
 
 def decide(prog, w, cfg=None):
     """The verdict, "accept" or "reject", of the engine `cfg` names run on
-    prog merged with the encoded input (w=None: on prog as it is, with no
-    input facts)."""
-    merged = prog if w is None else merge(prog, encode_input(w))
-    accept, _, _ = _run_engine(merged, cfg or EngineConfig())
+    prog with the encoded input (w=None: on prog as it is, with no input
+    facts)."""
+    accept, _, _ = _run_engine(prog, w, cfg or EngineConfig())
     return "accept" if accept else "reject"

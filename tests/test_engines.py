@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -299,6 +301,115 @@ def test_demand_compiles_each_clause_shape_once(monkeypatch):
                         if eng.solve(ap(P(head), C(c)))])
     assert answers == [["b"], ["a"]]
     assert len(compiled) == seen + 2  # the first program: p and q rules
+
+
+def _count_lowering(monkeypatch):
+    """Counts of the calls to `_shape` and `_fact_row` from now on."""
+    calls = {"_shape": 0, "_fact_row": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(engines, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(engines, name, counting)
+    return calls
+
+
+def test_second_decision_lowers_nothing(monkeypatch):
+    # a program is prepared on its first decision: the next ones on the
+    # same program object, whatever their input, lower no clause again
+    fo = compile_tm_first_order(sample_machine("parity"), 2)
+    ho = compile_tm_higher_order(sample_machine("parity"), 2, 1)
+    prog, _ = analyze("edge a b. edge b c. path X Y :- (edge X Y). "
+                      "path X Y :- (edge X Z), (path Z Y).")
+    semi = EngineConfig(engine="seminaive")
+    assert decide(fo, "ab", semi) == "reject"
+    assert decide(ho, "aa") == "accept"
+    least_model_seminaive(prog)
+    eng = DemandEngine(prog)
+    assert eng.solve(ap(P("path"), C("a"), C("c")))
+    calls = _count_lowering(monkeypatch)
+    assert decide(fo, "aab", semi) == "accept"
+    assert decide(ho, "ab") == "reject"
+    assert least_model_seminaive(prog).iterations == 3
+    assert not eng.solve(ap(P("path"), C("c"), C("a")))  # a new solve
+    assert DemandEngine(prog).solve(ap(P("path"), C("b"), C("c")))
+    assert calls == {"_shape": 0, "_fact_row": 0}
+
+
+def test_changed_program_gets_its_new_model():
+    prog, _ = analyze("p a. q X :- (p X).")
+    more, _ = analyze("p a. p b. q X :- (p X).")
+    assert least_model_seminaive(prog).interpretation["q"].tuples == {
+        (Ind("a"),)}
+    assert not DemandEngine(prog).solve(ap(P("q"), C("b")))
+    prog.clauses.append(more.clauses[1])  # the fact p b, in place
+    prog.constants.append("b")
+    semi = least_model_seminaive(prog).interpretation
+    assert semi == least_model_naive(prog).interpretation
+    assert semi["q"].tuples == {(Ind("a"),), (Ind("b"),)}
+    assert DemandEngine(prog).solve(ap(P("q"), C("b")))
+    prog.clauses = prog.clauses[:1]  # q's rule gone
+    assert least_model_seminaive(prog).interpretation["q"].tuples == set()
+    assert not DemandEngine(prog).solve(ap(P("q"), C("a")))
+
+
+def test_prepared_programs_are_not_kept_alive():
+    refs = []
+    for n in range(5):
+        prog, _ = analyze("e c%d c%d. q X :- (e X Y)." % (n, n + 1))
+        assert decide(prog, None, EngineConfig(engine="seminaive")) == "reject"
+        refs.append(weakref.ref(prog))
+        del prog
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert not any(ref() is None for ref, _ in engines._PREPARED.values())
+
+
+def test_round_one_plan_shares_a_live_index():
+    # (path, (0,)) is probed by the plan focused on edge, which runs in
+    # round 1 only, and by a plan focused on path, which recurs: it is
+    # live, so kept up to date for the recurring plan
+    prog, _ = analyze("edge a b. edge b c. edge c d. edge d e. "
+                      "path X Y :- (edge X Y). "
+                      "path X Y :- (edge X Z), (path Z Y). "
+                      "path X Y :- (path X Z), (path Z Y).")
+    assert ("path", (0,)) in engines._prepare(prog).seminaive().live
+    semi = least_model_seminaive(prog).interpretation
+    assert semi == least_model_naive(prog).interpretation
+    assert len(semi["path"].tuples) == 10
+
+
+def test_facts_and_rules_keep_indexes_live():
+    # r has facts and a rule, so a plan focused on r recurs, and the
+    # indexes it probes are extended every round
+    prog, _ = analyze("r a b. r b c. r c d. r d e. "
+                      "r X Y :- (r X Z), (r Z Y).")
+    assert engines._prepare(prog).seminaive().live == {("r", (0,)),
+                                                       ("r", (1,))}
+    semi = least_model_seminaive(prog).interpretation
+    assert semi == least_model_naive(prog).interpretation
+    assert len(semi["r"].tuples) == 10
+
+
+def test_chain_keeps_no_round_one_index(monkeypatch):
+    runs = []
+
+    class Recorded(engines._Joins):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(engines, "_Joins", Recorded)
+    facts = " ".join("edge c%d c%d." % (i, i + 1) for i in range(9))
+    prog, _ = analyze(facts + " path X Y :- (edge X Y). "
+                      "path X Y :- (edge X Z), (path Z Y).")
+    assert least_model_seminaive(prog).iterations == 10
+    (joins,) = runs
+    # only the plan focused on edge probes path by its first position, in
+    # round 1; the index of edge the recurring plan probes is kept
+    assert (0,) not in joins.indexes.get("path", {})
+    assert list(joins.indexes) == ["edge"]
+    assert list(joins.indexes["edge"]) == [(1,)]
 
 
 def test_seminaive_budget_counts_every_derived_tuple():
