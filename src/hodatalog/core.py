@@ -188,11 +188,11 @@ class Formal:
     ty: Type | None = field(default=None, compare=False)
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class Clause:
     head: str
-    formals: list
-    body: list
+    formals: tuple
+    body: tuple
 
     def atoms(self):
         """Number of atoms in the clause, head included."""
@@ -208,16 +208,6 @@ class Program:
     signatures: dict
     clauses: list
     constants: list
-
-    @staticmethod
-    def from_clauses(signatures, clauses):
-        seen = {}
-        for cl in clauses:
-            for e in cl.body:
-                for c in expr_consts(e):
-                    seen.setdefault(c, None)
-        constants = list(seen) or [DESIGNATED_CONSTANT]
-        return Program(signatures, clauses, constants)
 
     def clauses_for(self, pred):
         return [cl for cl in self.clauses if cl.head == pred]

@@ -17,8 +17,8 @@ class EncodingError(HodlError):
 
 
 def _fact(pred, args):
-    formals = [Formal("_H%d" % (i + 1), IOTA) for i in range(len(args))]
-    body = [Eq(Var(f.name, IOTA), Const(a, IOTA)) for f, a in zip(formals, args)]
+    formals = tuple(Formal("_H%d" % (i + 1), IOTA) for i in range(len(args)))
+    body = tuple(Eq(Var(f.name, IOTA), Const(a, IOTA)) for f, a in zip(formals, args))
     return Clause(pred, formals, body)
 
 

@@ -445,8 +445,8 @@ _PREPARED = {}  # id(prog) -> (weak reference to prog, its _Prepared)
 
 def _prepare(prog):
     """prog's `_Prepared`, made on its first decision and kept while prog
-    lives and its clause list, constants and signatures stay the same; a
-    clause object changed in place is not noticed."""
+    lives and its clause list, constants and signatures stay the same
+    (a clause is immutable, so the same clause is the same rule)."""
     ref, prep = _PREPARED.get(id(prog), (None, None))
     if ref is not None and ref() is prog and (
             prep.clauses, prep.constants, prep.signatures) == (

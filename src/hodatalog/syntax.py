@@ -17,6 +17,7 @@ uppercase or underscore are variables.  "%" starts a line comment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .core import (App, Arrow, Const, Eq, HodlError, IOTA, OMICRON, Pred, Var,
@@ -33,63 +34,52 @@ class ParseError(HodlError):
         self.col = col
 
 
-@dataclass
-class Token:
-    kind: str  # IDENT NUMERAL VAR PUNCT EOF
-    text: str
-    line: int
-    col: int
+# One match per token, the blanks and comments before it skipped; the
+# group that matched is its kind.  Words and numerals that start with an
+# ASCII character are read here (\w is str.isalnum or "_"); a numeral
+# running into a non-ASCII character, a non-ASCII start and a stray
+# character fall to the last group and are read by `_other`.  EOF starts
+# at the end of the text, or at a comment that ends it.
+_TOKEN = re.compile(r"(?:[ \t\r\n]|%.*\n)*(?:(:-|->|#pred|[(),.=:])|([a-z]\w*)"
+                    r"|([0-9]+)(?![0-9]|[^\x00-\x7f])|([A-Z_]\w*)|()(?:%.*)?\Z|(.))")
+_KINDS = (None, "PUNCT", "IDENT", "NUMERAL", "VAR", "EOF")
+_WORD_TAIL = re.compile(r"\w*")
 
 
-_PUNCT = (":-", "->", "#pred", "(", ")", ",", ".", "=", ":")
+def _other(text, i):
+    """(kind, end) of the token at text[i], by the rules of str's methods."""
+    ch, j = text[i], i + 1
+    if ch.isdigit():
+        while j < len(text) and text[j].isdigit():
+            j += 1
+        return "NUMERAL", j
+    if ch.isalpha():
+        return ("VAR" if ch.isupper() else "IDENT"), _WORD_TAIL.match(text, j).end()
+    raise ParseError("unexpected character %r" % ch, text.count("\n", 0, i) + 1,
+                     i - text.rfind("\n", 0, i))
 
 
 def tokenize(text):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("PUNCT", p, line, col))
-                i += len(p)
-                col += len(p)
+    """Parallel lists (kinds, texts, starts): each token's kind (PUNCT,
+    IDENT, NUMERAL, VAR or EOF), text and character offset."""
+    kinds, texts, starts = [], [], []
+    pos = 0
+    while True:
+        for m in _TOKEN.finditer(text, pos):
+            k = m.lastindex
+            if k == 6:
                 break
-        else:
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(Token("NUMERAL", text[i:j], line, col))
-                col += j - i
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = "VAR" if (word[0].isupper() or word[0] == "_") else "IDENT"
-                toks.append(Token(kind, word, line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError("unexpected character %r" % ch, line, col)
-    toks.append(Token("EOF", "", line, col))
-    return toks
+            kinds.append(_KINDS[k])
+            texts.append(m[k])
+            starts.append(m.start(k))
+            if k == 5:
+                return kinds, texts, starts
+        pos = m.start(6)
+        kind, end = _other(text, pos)
+        kinds.append(kind)
+        texts.append(text[pos:end])
+        starts.append(pos)
+        pos = end
 
 
 # ---------------------------------------------------------------------------
@@ -114,34 +104,39 @@ class SourceProgram:
 
 
 class _Parser:
+    """Recursive descent over `tokenize`'s lists.  Parentheses nest on
+    explicit stacks, not Python frames, and the occurrences of a name
+    share one Const or Var node."""
+
     def __init__(self, text):
-        self.toks = tokenize(text)
+        self.text = text
+        self.kinds, self.texts, self.starts = tokenize(text)
         self.pos = 0
+        self.leaves = {}  # name -> its Const or Var
+        self.types = {}  # each Arrow type read, so that equal ones are one
+        self.line, self.offset = 1, 0  # last position found, for `where`
 
-    def peek(self):
-        return self.toks[self.pos]
+    def where(self, pos):
+        """(line, col) of token pos, at or after the last one asked for."""
+        offset = self.starts[pos]
+        self.line += self.text.count("\n", self.offset, offset)
+        self.offset = offset
+        return self.line, offset - self.text.rfind("\n", 0, offset)
 
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+    def error(self, message, pos):
+        return ParseError(message, *self.where(pos))
 
     def expect(self, text):
-        t = self.next()
-        if t.text != text or t.kind == "EOF":
-            raise ParseError("expected %r, found %r" % (text, t.text or "end of input"),
-                             t.line, t.col)
-        return t
-
-    def at(self, text):
-        return self.peek().text == text and self.peek().kind != "EOF"
+        pos = self.pos
+        if self.texts[pos] != text:
+            raise self.error("expected %r, found %r"
+                             % (text, self.texts[pos] or "end of input"), pos)
+        self.pos = pos + 1
 
     def parse_program(self):
-        directives = []
-        clauses = []
-        seen = set()
-        while self.peek().kind != "EOF":
-            if self.at("#pred"):
+        directives, clauses, seen = [], [], set()
+        while self.kinds[self.pos] != "EOF":
+            if self.texts[self.pos] == "#pred":
                 d = self.parse_directive()
                 if d[0] in seen:
                     raise ParseError("duplicate directive for %r" % d[0], d[2], d[3])
@@ -152,86 +147,99 @@ class _Parser:
         return SourceProgram(directives, clauses)
 
     def parse_directive(self):
-        t0 = self.expect("#pred")
-        name = self.next()
-        if name.kind != "IDENT":
-            raise ParseError("expected predicate name", name.line, name.col)
+        line, col = self.where(self.pos)
+        self.pos += 1
+        name = self.pos
+        if self.kinds[name] != "IDENT":
+            raise self.error("expected predicate name", name)
+        self.pos += 1
         self.expect(":")
         ty = self.parse_type()
         self.expect(".")
         if not is_predicate_type(ty):
-            raise ParseError("directive type must end in o", t0.line, t0.col)
-        return (name.text, ty, t0.line, t0.col)
+            raise ParseError("directive type must end in o", line, col)
+        return (self.texts[name], ty, line, col)
 
     def parse_type(self):
-        left = self.parse_type_primary()
-        if self.at("->"):
-            self.next()
-            return Arrow(left, self.parse_type())
-        return left
-
-    def parse_type_primary(self):
-        t = self.next()
-        if t.text == "i" and t.kind == "IDENT":
-            return IOTA
-        if t.text == "o" and t.kind == "IDENT":
-            return OMICRON
-        if t.text == "(":
-            ty = self.parse_type()
-            self.expect(")")
-            return ty
-        raise ParseError("expected type", t.line, t.col)
+        """type := primary ["->" type]; primary := i | o | "(" type ")"."""
+        texts, stack, args = self.texts, [], []  # per open "(", the args before it
+        while True:
+            t = texts[self.pos]
+            self.pos += 1
+            if t == "(":
+                stack.append(args)
+                args = []
+                continue
+            if t != "i" and t != "o":
+                raise self.error("expected type", self.pos - 1)
+            ty = IOTA if t == "i" else OMICRON
+            while texts[self.pos] != "->":
+                for a in reversed(args):
+                    ty = Arrow(a, ty)
+                    ty = self.types.setdefault(ty, ty)
+                if not stack:
+                    return ty
+                self.expect(")")
+                args = stack.pop()
+            self.pos += 1
+            args.append(ty)
 
     def parse_clause(self):
-        t0 = self.peek()
+        line, col = self.where(self.pos)
         head = self.parse_appterm()
-        body = []
-        if self.at(":-"):
-            self.next()
+        body, sep = [], ":-"
+        while self.texts[self.pos] == sep:
+            self.pos, sep = self.pos + 1, ","
             body.append(self.parse_bexpr())
-            while self.at(","):
-                self.next()
-                body.append(self.parse_bexpr())
         self.expect(".")
         h, args = app_spine(head)
         if not isinstance(h, Const):
-            raise ParseError("clause head must be a predicate constant", t0.line, t0.col)
-        return SurfaceClause(h.name, args, body, t0.line, t0.col)
+            raise ParseError("clause head must be a predicate constant", line, col)
+        return SurfaceClause(h.name, args, body, line, col)
 
     def parse_bexpr(self):
-        # "(" appterm "=" appterm ")" needs lookahead past the paren.
-        if self.at("("):
-            save = self.pos
-            self.next()
-            left = self.parse_appterm()
-            if self.at("="):
-                self.next()
-                right = self.parse_appterm()
-                self.expect(")")
-                return Eq(left, right)
-            self.pos = save
-        return self.parse_appterm()
+        # "(" appterm "=" appterm ")", else an appterm that the parenthesis
+        # opens, taken up where the lookahead stopped.
+        if self.texts[self.pos] != "(":
+            return self.parse_appterm()
+        self.pos += 1
+        left = self.parse_appterm()
+        if self.texts[self.pos] != "=":
+            return self.parse_appterm([None], left)
+        self.pos += 1
+        right = self.parse_appterm()
+        self.expect(")")
+        return Eq(left, right)
 
-    def parse_appterm(self):
-        e = self.parse_primary()
+    def parse_appterm(self, stack=None, e=None):
+        """appterm := primary {primary}; primary := IDENT | NUMERAL | VAR |
+        "(" appterm ")".  `stack` holds, per open parenthesis, the
+        application before it (None if none), and `e` the one being read."""
+        kinds, texts, leaves = self.kinds, self.texts, self.leaves
+        stack = [] if stack is None else stack
+        pos = self.pos
         while True:
-            t = self.peek()
-            if t.kind in ("IDENT", "NUMERAL", "VAR") or t.text == "(":
-                e = App(e, self.parse_primary())
-            else:
+            kind = kinds[pos]
+            if kind != "PUNCT" and kind != "EOF":
+                x = leaves.get(texts[pos])
+                if x is None:
+                    x = leaves[texts[pos]] = (Var if kind == "VAR" else Const)(texts[pos])
+            elif texts[pos] == "(":
+                stack.append(e)
+                e = None
+                pos += 1
+                continue
+            elif e is None:
+                raise self.error("unexpected %r" % (texts[pos] or "end of input"), pos)
+            elif not stack:
+                self.pos = pos
                 return e
-
-    def parse_primary(self):
-        t = self.next()
-        if t.kind in ("IDENT", "NUMERAL"):
-            return Const(t.text)
-        if t.kind == "VAR":
-            return Var(t.text)
-        if t.text == "(":
-            e = self.parse_appterm()
-            self.expect(")")
-            return e
-        raise ParseError("unexpected %r" % (t.text or "end of input"), t.line, t.col)
+            else:
+                self.pos = pos
+                self.expect(")")
+                x, e = e, stack.pop()
+            pos += 1
+            e = x if e is None else App(e, x)
 
 
 def parse_program(text):

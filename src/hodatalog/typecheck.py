@@ -8,6 +8,8 @@ Diagnostic codes:
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import core
@@ -57,9 +59,13 @@ class _TV:
 
 
 def _prune(t):
-    while isinstance(t, _TV) and t.ref is not None:
-        t = t.ref
-    return t
+    """t's representative, links on the way pointed at it (Tarjan 1975)."""
+    root = t
+    while type(root) is _TV and root.ref is not None:
+        root = root.ref
+    while t is not root:
+        t.ref, t = root, t.ref
+    return root
 
 
 class _Clash(Exception):
@@ -71,13 +77,13 @@ def _unify(a, b):
     a, b = _prune(a), _prune(b)
     if a is b:
         return
-    if isinstance(a, _TV):
+    if type(a) is _TV:
         a.ref = b
         return
-    if isinstance(b, _TV):
+    if type(b) is _TV:
         b.ref = a
         return
-    if isinstance(a, Arrow) and isinstance(b, Arrow):
+    if type(a) is Arrow and type(b) is Arrow:
         _unify(a.arg, b.arg)
         _unify(a.res, b.res)
         return
@@ -92,7 +98,8 @@ def _resolve(t, kind):
     if isinstance(t, _TV):
         return IOTA if kind == "arg" else OMICRON
     if isinstance(t, Arrow):
-        return Arrow(_resolve(t.arg, "arg"), _resolve(t.res, "res"))
+        arg, res = _resolve(t.arg, "arg"), _resolve(t.res, "res")
+        return t if arg is t.arg and res is t.res else Arrow(arg, res)
     return t
 
 
@@ -129,15 +136,8 @@ class _Analysis:
     def __init__(self, src):
         self.src = src
         self.violations = []
-        self.name_ty = {}
-        for name, ty in src.declared().items():
-            self.name_ty[name] = ty
+        self.name_ty = defaultdict(_TV, src.declared())
         self.clause_vars = []
-
-    def name_type(self, name):
-        if name not in self.name_ty:
-            self.name_ty[name] = _TV()
-        return self.name_ty[name]
 
     def run(self):
         for cl in self.src.clauses:
@@ -146,48 +146,39 @@ class _Analysis:
         self._validate()
 
     def _infer_clause(self, cl):
-        vars_ = {}
+        vars_, name_ty = defaultdict(_TV), self.name_ty
 
-        def var_ty(name):
-            if name not in vars_:
-                vars_[name] = _TV()
-            return vars_[name]
+        def unify(a, b):
+            """Unify, or report the clash; true if it unified."""
+            try:
+                _unify(a, b)
+                return True
+            except _Clash as c:
+                self._clash(cl, c)
 
         def infer(e):
-            if isinstance(e, Var):
-                return var_ty(e.name)
-            if isinstance(e, (Const, Pred)):
-                return self.name_type(e.name)
             if isinstance(e, App):
-                tf = infer(e.fn)
-                ta = infer(e.arg)
+                tf, ta = infer(e.fn), infer(e.arg)
+                tf = _prune(tf)
+                if type(tf) is Arrow:  # no fresh variable and arrow
+                    return tf.res if unify(tf.arg, ta) else _TV()
                 tr = _TV()
-                try:
-                    _unify(tf, Arrow(ta, tr))
-                except _Clash as c:
-                    self._clash(cl, c)
+                unify(tf, Arrow(ta, tr))
                 return tr
+            if isinstance(e, Var):
+                return vars_[e.name]
+            if isinstance(e, (Const, Pred)):
+                return name_ty[e.name]
             if isinstance(e, Eq):
-                for side in (e.left, e.right):
-                    try:
-                        _unify(infer(side), IOTA)
-                    except _Clash as c:
-                        self._clash(cl, c)
+                unify(infer(e.left), IOTA)
+                unify(infer(e.right), IOTA)
                 return OMICRON
             raise TypeError(e)
 
-        head_ty = OMICRON
-        for t in reversed([infer(a) for a in cl.head_args]):
-            head_ty = Arrow(t, head_ty)
-        try:
-            _unify(self.name_type(cl.head), head_ty)
-        except _Clash as c:
-            self._clash(cl, c)
+        head_ty = core.arrow([infer(a) for a in cl.head_args])  # args first
+        unify(name_ty[cl.head], head_ty)
         for b in cl.body:
-            try:
-                _unify(infer(b), OMICRON)
-            except _Clash as c:
-                self._clash(cl, c)
+            unify(infer(b), OMICRON)
         return vars_
 
     def _clash(self, cl, c):
@@ -237,8 +228,7 @@ class _Analysis:
 
     def _validate(self):
         for cl, var_tys in zip(self.src.clauses, self.var_types):
-            seen = set()
-            head_var_names = set()
+            seen = set()  # the head's variables
             for a in cl.head_args:
                 if isinstance(a, Var):
                     ty = var_tys.get(a.name, IOTA)
@@ -247,7 +237,6 @@ class _Analysis:
                             "E201", "duplicate formal %s in head of %s"
                             % (a.name, cl.head), cl.line, cl.col))
                     seen.add(a.name)
-                    head_var_names.add(a.name)
                 elif isinstance(a, (Const, Pred)):
                     if a.name in self.signatures:
                         self.violations.append(Diagnostic(
@@ -257,11 +246,11 @@ class _Analysis:
                     self.violations.append(Diagnostic(
                         "E202", "non-variable predicate argument in head of %s"
                         % cl.head, cl.line, cl.col))
-            for b in cl.body:
+            free = {v for v, ty in var_tys.items()
+                    if isinstance(ty, Arrow) and v not in seen}
+            for b in cl.body if free else ():  # most clauses have none
                 for v in {x.name for x in core.expr_vars(b)}:
-                    if v in head_var_names:
-                        continue
-                    if isinstance(var_tys.get(v, IOTA), Arrow):
+                    if v in free:
                         self.violations.append(Diagnostic(
                             "E203", "free predicate variable %s in body of %s"
                             % (v, cl.head), cl.line, cl.col))
@@ -300,50 +289,50 @@ def desugar(src, report):
         raise TypeCheckError(hard)
 
     pred_names = set(report.signatures)
-    clauses = []
+    clauses, consts = [], {}  # consts: individuals in first-occurrence order
     for cl, var_tys in zip(src.clauses, report.clause_var_types):
-        counter = [0]
-
-        def fresh():
-            counter[0] += 1
-            return "_H%d" % counter[0]
-
+        fresh = ("_H%d" % i for i in itertools.count(1))
         sig_args = core.arg_types(report.signatures[cl.head])
-        formals = []
-        equations = []
-        seen = set()
+        formals, equations, seen = [], [], set()
         for a, ty in zip(cl.head_args, sig_args):
             if isinstance(a, Var) and a.name not in seen:
                 seen.add(a.name)
                 formals.append(Formal(a.name, ty))
             elif isinstance(a, Var):
-                v = fresh()
+                v = next(fresh)
                 formals.append(Formal(v, ty))
                 equations.append(Eq(Var(a.name, ty), Var(v, ty)))
             elif isinstance(a, (Const, Pred)) and a.name not in pred_names:
-                v = fresh()
+                v = next(fresh)
                 formals.append(Formal(v, ty))
                 equations.append(Eq(Var(v, ty), Const(a.name, IOTA)))
+                consts[a.name] = None
             else:
                 # invalid head argument (E202 case); keep the shape with a
                 # fresh formal so later passes can still run
-                formals.append(Formal(fresh(), ty))
-        body = equations + [_lower(b, pred_names, var_tys) for b in cl.body]
-        clauses.append(Clause(cl.head, formals, body))
-    return Program.from_clauses(dict(report.signatures), clauses)
+                formals.append(Formal(next(fresh), ty))
+        body = (*equations,
+                *[_lower(b, pred_names, var_tys, consts) for b in cl.body])
+        clauses.append(Clause(cl.head, tuple(formals), body))
+    return Program(dict(report.signatures), clauses,
+                   list(consts) or [core.DESIGNATED_CONSTANT])
 
 
-def _lower(e, pred_names, var_tys):
+def _lower(e, pred_names, var_tys, consts):
+    """e typed, with Pred nodes for predicates; adds individuals to consts."""
+    if isinstance(e, App):
+        return App(_lower(e.fn, pred_names, var_tys, consts),
+                   _lower(e.arg, pred_names, var_tys, consts))
     if isinstance(e, Var):
         return Var(e.name, var_tys.get(e.name))
     if isinstance(e, (Const, Pred)):
         if e.name in pred_names:
             return Pred(e.name)
+        consts[e.name] = None
         return Const(e.name, IOTA)
-    if isinstance(e, App):
-        return App(_lower(e.fn, pred_names, var_tys), _lower(e.arg, pred_names, var_tys))
     if isinstance(e, Eq):
-        return Eq(_lower(e.left, pred_names, var_tys), _lower(e.right, pred_names, var_tys))
+        return Eq(_lower(e.left, pred_names, var_tys, consts),
+                  _lower(e.right, pred_names, var_tys, consts))
     raise TypeError(e)
 
 

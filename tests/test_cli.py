@@ -108,11 +108,19 @@ def test_run_trace_renders_deep_closure_goals(tmp_path, capsys):
 
 
 def test_crash_is_not_a_verdict(tmp_path, capsys):
+    # the parser reads this; type inference recurses once per application
     p = tmp_path / "deep.hodl"
-    p.write_text("p " + "(" * 3000 + "a" + ")" * 3000 + ".\n")
+    p.write_text("p " + "(f " * 3000 + "a" + ")" * 3000 + ".\n")
     assert main(["check", str(p)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: RecursionError") and err.count("\n") == 1
+
+
+def test_deep_parentheses_check(tmp_path, capsys):
+    p = tmp_path / "deep.hodl"
+    p.write_text("p " + "(" * 3000 + "a" + ")" * 3000 + ".\n")
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out == "order: 1\n"
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import subprocess
@@ -351,6 +352,23 @@ def test_changed_program_gets_its_new_model():
     prog.clauses = prog.clauses[:1]  # q's rule gone
     assert least_model_seminaive(prog).interpretation["q"].tuples == set()
     assert not DemandEngine(prog).solve(ap(P("q"), C("a")))
+
+
+def test_clauses_cannot_change_in_place():
+    # a preparation is kept while the program's clause list holds the same
+    # clauses, so a clause changed in place would get a stale model
+    prog, _ = analyze("p a. p b. q X :- (p X), (X = a).")
+    assert least_model_seminaive(prog).interpretation["q"].tuples == {
+        (Ind("a"),)}
+    rule = prog.clauses[-1]
+    with pytest.raises(AttributeError):
+        rule.body.pop()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.body = rule.body[:1]
+    prog.clauses[-1] = dataclasses.replace(rule, body=rule.body[:1])
+    semi = least_model_seminaive(prog).interpretation
+    assert semi == least_model_naive(prog).interpretation
+    assert semi["q"].tuples == {(Ind("a"),), (Ind("b"),)}
 
 
 def test_prepared_programs_are_not_kept_alive():

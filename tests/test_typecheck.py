@@ -2,6 +2,7 @@ import pytest
 
 from hodatalog.core import Arrow, Eq, IOTA, OMICRON, arrow
 from hodatalog.syntax import parse_program
+from hodatalog import typecheck
 from hodatalog.typecheck import TypeCheckError, analyze, desugar, infer_types
 
 UNION = "union R S X :- (R X). union R S X :- (S X)."
@@ -106,3 +107,67 @@ def test_empty_program_is_order_one():
 def test_directive_conflict_is_clash():
     report = infer_types(parse_program("#pred p : i -> o.\np a b."))
     assert any(d.code == "E101" for d in report.violations)
+
+
+class _CountingTV:
+    """A type variable that counts the reads of its link."""
+    __slots__ = ("_ref",)
+    reads = 0
+
+    def __init__(self):
+        self._ref = None
+
+    @property
+    def ref(self):
+        _CountingTV.reads += 1
+        return self._ref
+
+    @ref.setter
+    def ref(self, value):
+        self._ref = value
+
+
+def test_typing_a_chain_follows_few_links(monkeypatch):
+    # every edge fact unifies edge's argument types with two fresh
+    # constants' types; without path compression each unification walks
+    # the chain of all earlier ones
+    text = "".join("edge n%d n%d.\n" % (i, i + 1) for i in range(2000))
+    src = parse_program(text + "path X Y :- (edge X Y).\n"
+                              "path X Z :- (edge X Y), (path Y Z).\n")
+    monkeypatch.setattr(typecheck, "_TV", _CountingTV)
+    monkeypatch.setattr(_CountingTV, "reads", 0)
+    report = typecheck.infer_types(src)
+    assert report.ok and report.signatures["path"] == arrow([IOTA, IOTA])
+    assert _CountingTV.reads < 40 * len(src.clauses)
+
+
+# Diagnostics as the type checker gave them before type variables were
+# path-compressed and an application of an arrow built no fresh variable.
+@pytest.mark.parametrize("text, rendered", [
+    ("p X :- (X a), (X = b).", ["<input>:1:1: E101 type clash: ? -> o vs i"]),
+    ("t. p X :- (X t). q :- (p r).",
+     ["<input>:0:0: E101 predicate p has an argument of type o",
+      "<input>:0:0: E101 predicate r has an argument of type o"]),
+    ("#pred p : i -> o.\np a b.", ["<input>:2:1: E101 type clash: o vs ? -> o"]),
+    ("p :- (a = b), (a b).", ["<input>:1:1: E101 type clash: i vs i -> ?"]),
+    ("p F :- (F a), (F a b).", ["<input>:1:1: E101 type clash: o vs ? -> ?"]),
+    ("p X :- (X = q). q a.", ["<input>:1:17: E101 type clash: i vs ? -> o"]),
+    ("p. p a.", ["<input>:1:4: E101 type clash: o vs ? -> o"]),
+    # after a clash an application's type is fresh, so no second clash
+    ("#pred f : i -> i -> o.\np :- ((f (f a)) = b).",
+     ["<input>:2:1: E101 type clash: i vs i -> o"]),
+    ("#pred q : (i -> o) -> o.\np X :- (q X), (X a b).",
+     ["<input>:2:1: E101 type clash: o vs ? -> ?"]),
+    ("q a. r q.", ["<input>:1:6: E202 predicate constant q as head argument of r"]),
+    ("p Q Q :- (Q a).", ["<input>:1:1: E201 duplicate formal Q in head of p"]),
+    ("p (f X) :- (q X).",
+     ["<input>:1:1: E202 non-variable predicate argument in head of p"]),
+    ("p X :- (Q X), (Q a).",
+     ["<input>:1:1: E203 free predicate variable Q in body of p"] * 2),
+    ("f a. p :- (f (f a)).",
+     ["<input>:0:0: E101 predicate f has an argument of type o",
+      "<input>:1:1: E202 predicate constant a as head argument of f"]),
+])
+def test_diagnostic_text(text, rendered):
+    report = infer_types(parse_program(text))
+    assert [d.render() for d in report.violations] == rendered
