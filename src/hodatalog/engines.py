@@ -26,9 +26,10 @@ resources `_resources` collects and to its constants.
   programs.  Ground terms are hash-consed into int ids, and a ground goal
   is memoized under (pred name, arg id, ...); an atom of a predicate given
   only by facts is a "rows" atom, looked up in indexed rows of ids, never
-  tabled.  The table is driven to a least fixpoint by propagating
-  false-to-true flips to recorded dependents, in the order they were
-  recorded.  Trace lines, rendered without recursion, go to stderr.
+  tabled.  A new subgoal runs when first called, nested in its caller up
+  to a fixed depth; only readers of a false entry that may still flip are
+  recorded, and re-enqueued when it flips.  Trace lines, rendered without
+  recursion, go to stderr.
 * decide: the accept/reject entry point.  It and the CLI's crosscheck go
   through `_run_engine`, the one place that picks an engine by name.
 """
@@ -619,6 +620,12 @@ def _demand_body(key):
                                    "mk, call, spine, universe", ["key"]))
 
 
+# First runs nest at most this deep.  A level takes `_call`, `_step`,
+# `_eval_goal`, a body's `run` and, if its plan is split, `f1`: nesting
+# adds at most 5 * _EAGER_DEPTH = 200 Python frames.
+_EAGER_DEPTH = 40
+
+
 class DemandEngine:
     """Tabled evaluation of ground goals against a fixed program, with
     `inputs`: None, or the rows of input/3 facts added to it and the
@@ -631,9 +638,12 @@ class DemandEngine:
     goal flattens through the id table.  Fact rows are checked before a
     goal's rules, whose bodies (`_demand_body`) are bound to this engine
     on the predicate's first call in a `solve`.  Entries start false and
-    may flip to true exactly once; a flip re-enqueues the goals recorded
-    as depending on it, so the stable table is the least fixpoint over
-    the discovered goals.
+    may flip to true exactly once.  A new subgoal runs at once, nested in
+    its caller, or is queued past `_EAGER_DEPTH` nested runs.  Readers of
+    an open entry, a false one that may still flip, are recorded and
+    re-enqueued when it flips; a goal whose false run read no open entry
+    is final, and every entry is once the queue is empty.  So the stable
+    table is the least fixpoint over the discovered goals.
     """
 
     def __init__(self, prog, cfg=None, inputs=None):
@@ -654,16 +664,24 @@ class DemandEngine:
         self.extensional = self.facts.keys() - self.prep.rules.keys()
         self.indexes = {}  # (pred, key positions) -> {key: [row, ...]}
         self.table = {}
-        self.deps = {}  # key -> {dependent key: None}, in insertion order
-        self.pending = deque()
+        self.open = set()  # false entries that may still flip
+        self.deps = {}  # open key -> {dependent key: None}, in insertion order
+        self.pending = deque()  # goals to run once the stack is empty
+        self.stack = []  # per running goal: it has read no open entry yet
+        self.bodies = {}  # pred -> its rules' bodies, bound in this solve
         self.steps = 0
 
     def solve(self, goal):
         """A ground atom's truth in the least model; tabled goals are final."""
         key = (("=", self._term_id(goal.left), self._term_id(goal.right))
                if isinstance(goal, Eq) else self._spine(self._term_id(goal)))
-        self._intern(key)
-        self._run()
+        if key not in self.table:
+            self._intern(key)
+            self.pending.append(key)
+        try:
+            self._run()
+        finally:  # bound bodies refer to the engine: kept, they form a cycle
+            self.bodies, self.stack = {}, []
         return self.table[key]
 
     def _id(self, node):
@@ -717,45 +735,58 @@ class DemandEngine:
         return texts[i]
 
     def _intern(self, key):
-        if key not in self.table:
-            self.table[key] = False
-            self.pending.append(key)
-            if self.cfg.trace:
-                print("%s -> false @%d" % (self._render(key), self.steps),
-                      file=sys.stderr)
+        self.table[key] = False
+        self.open.add(key)
+        if self.cfg.trace:
+            print("%s -> false @%d" % (self._render(key), self.steps),
+                  file=sys.stderr)
 
     def _call(self, key, dependent):
         """The entry of a subgoal that the body of the goal `dependent`
-        needs, with the dependency recorded; a new subgoal is interned."""
-        deps = self.deps.get(key)
-        if deps is None:
-            deps = self.deps[key] = {}
-        deps[dependent] = None
+        needs; a new subgoal runs at once, or is queued past `_EAGER_DEPTH`
+        nested runs.  Reading an open entry records the dependency."""
         entry = self.table.get(key)
         if entry is None:
             self._intern(key)
-            return False
-        return entry
+            if len(self.stack) <= _EAGER_DEPTH:
+                entry = self._step(key)
+            else:
+                self.pending.append(key)
+        if entry or key not in self.open:
+            return entry
+        self.stack[-1] = False
+        self.deps.setdefault(key, {})[dependent] = None
+        return False
 
     def _run(self):
-        # pred -> its rules' bodies, bound on first use; they refer to the
-        # engine, so kept on it they would make a cycle for the gc to free
-        bodies = {}
         while self.pending:
             key = self.pending.popleft()
-            if self.table[key]:
-                continue
-            self.steps += 1
-            if self.steps > self.cfg.step_budget:
-                raise BudgetExhaustedError("unknown: budget")
-            if self._eval_goal(key, bodies):
-                self.table[key] = True
-                if self.cfg.trace:
-                    print("%s -> true @%d" % (self._render(key), self.steps),
-                          file=sys.stderr)
-                for d in self.deps.get(key, ()):
-                    if not self.table[d]:
-                        self.pending.append(d)
+            if key in self.open:
+                self._step(key)
+        self.open.clear()  # every entry is final now
+        self.deps.clear()
+
+    def _step(self, key):
+        """Run the goal key once and return its entry.  A flip re-enqueues
+        its open dependents; a false run reading no open entry is final."""
+        self.steps += 1
+        if self.steps > self.cfg.step_budget:
+            raise BudgetExhaustedError("unknown: budget")
+        self.stack.append(True)
+        if self._eval_goal(key):
+            self.stack.pop()
+            self.table[key] = True
+            if self.cfg.trace:
+                print("%s -> true @%d" % (self._render(key), self.steps),
+                      file=sys.stderr)
+            self.open.discard(key)
+            for d in self.deps.pop(key, ()):
+                if d in self.open:
+                    self.pending.append(d)
+            return True
+        if self.stack.pop():
+            self.open.discard(key)
+        return False
 
     def _bind(self, preds, consts, steps, make):
         """A rule's body bound to this engine; an index of fact rows it
@@ -772,16 +803,15 @@ class DemandEngine:
             _extend(idx, positions, self.facts[pred])
         return idx
 
-    def _eval_goal(self, key, bodies):
+    def _eval_goal(self, key):
         if key[0] == "=":
             return key[1] == key[2]
         if key[1:] in self.facts.get(key[0], ()):
             return True
-        rules = bodies.get(key[0])
+        rules = self.bodies.get(key[0])
         if rules is None:
-            rules = bodies[key[0]] = [self._bind(*body) for body in
-                                      self.prep.bodies(key[0],
-                                                       self.extensional)]
+            rules = self.bodies[key[0]] = list(itertools.starmap(
+                self._bind, self.prep.bodies(key[0], self.extensional)))
         for body in rules:
             if body(key, *key[1:]):
                 return True

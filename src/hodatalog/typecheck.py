@@ -73,14 +73,33 @@ class _Clash(Exception):
         self.a, self.b = a, b
 
 
+def _occurs(v, t):
+    """Whether the type variable v occurs in the type t."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is _TV:
+            t = _prune(t)
+            if t is v:
+                return True
+        if type(t) is Arrow:
+            todo += t.arg, t.res
+    return False
+
+
 def _unify(a, b):
     a, b = _prune(a), _prune(b)
     if a is b:
         return
+    # binding a variable to an arrow that contains it would make a cycle
     if type(a) is _TV:
+        if type(b) is Arrow and _occurs(a, b):
+            raise _Clash(a, b)
         a.ref = b
         return
     if type(b) is _TV:
+        if type(a) is Arrow and _occurs(b, a):
+            raise _Clash(a, b)
         b.ref = a
         return
     if type(a) is Arrow and type(b) is Arrow:
@@ -115,10 +134,19 @@ def _describe(t):
     return render_type(t)
 
 
-def _has_omicron_arg(ty):
-    if isinstance(ty, Arrow):
-        return ty.arg == OMICRON or _has_omicron_arg(ty.arg) or _has_omicron_arg(ty.res)
-    return False
+def _bad_arg(ty):
+    """The first argument type, at any depth of the predicate type ty, that
+    is neither i nor a predicate type (o, or an arrow ending in i); else
+    None."""
+    while type(ty) is Arrow:
+        arg, ty = ty.arg, ty.res
+        if type(arg) is Arrow:
+            bad = _bad_arg(arg) if is_predicate_type(arg) else arg
+            if bad is not None:
+                return bad
+        elif arg == OMICRON:
+            return arg
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +241,15 @@ class _Analysis:
                 self.signatures[name] = ty
                 return
             if isinstance(ty, Arrow) or name in defined or name in declared:
-                if _has_omicron_arg(ty):
+                bad = _bad_arg(ty)
+                if bad is not None:
                     self.violations.append(Diagnostic(
-                        "E101", "predicate %s has an argument of type o" % name))
-                self.signatures[name] = ty
+                        "E101", "predicate %s has an argument of type %s"
+                        % (name, render_type(bad))))
+                # an argument typed by an arrow ending in i has no order:
+                # o stands in, as for an ill-formed constant below
+                self.signatures[name] = (ty if bad is None or bad == OMICRON
+                                         else OMICRON)
                 return
         if ty == IOTA:
             self.individuals.add(name)

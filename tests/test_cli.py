@@ -33,6 +33,23 @@ def test_check_reports_e202(tmp_path, capsys):
     assert "E202" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, codes", [
+    ("r :- (R R).", ["1:1: E101"]),
+    ("r :- (p = (a a)).", ["1:1: E101"]),
+    ("q Z :- ((Z r) = (q R)).", ["1:1: E101", "0:0: E101", "1:1: E203"]),
+    ("#pred q : (i -> i) -> o.\n", ["0:0: E101"])])
+def test_check_reports_ill_formed_types(tmp_path, capsys, text, codes):
+    p = tmp_path / "bad.hodl"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 3
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = out.out.splitlines()
+    assert len(lines) == len(codes)
+    for line, code in zip(lines, codes):
+        assert line.startswith("%s:%s " % (p, code)), line
+
+
 def test_check_empty_file(tmp_path, capsys):
     p = tmp_path / "empty.hodl"
     p.write_text("")

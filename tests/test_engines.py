@@ -528,24 +528,28 @@ def test_demand_recursive_program():
 
 def test_demand_root_is_enqueued_once():
     # q a, p a and r a are tabled; s is given only by facts, so s a is
-    # looked up, not tabled.  Runs: q, p, r (true), p (true), q (true).
+    # looked up, not tabled.  Runs: q, in it p, in it r (true), so p and
+    # then q end true, each in its one run.
     prog, _ = analyze("q X :- (p X). p X :- (r X). r X :- (s X). s a.")
     eng = DemandEngine(prog)
     assert eng.solve(ap(P("q"), C("a")))
     assert len(eng.table) == 3
-    assert eng.steps == 5
+    assert eng.steps == 3
 
 
 def test_demand_binds_before_enumerating():
     # a "rows" atom binds Y from the facts of e before the call to p, so
-    # q d0 tables itself and p d0 c0..c2, not p d0 Y for all 23 constants
+    # q d0 tables itself and p d0 c0, true at once; the false q c0 tables
+    # itself and p c0 c0..c2, not p c0 Y for all 23 constants
     facts = " ".join(["e c%d." % i for i in range(3)]
                      + ["u d%d." % i for i in range(20)])
     prog, _ = analyze(facts + " p X Y :- (u X), (e Y). "
                       "q X :- (p X Y), (e Y).")
     eng = DemandEngine(prog)
     assert eng.solve(ap(P("q"), C("d0")))
-    assert (len(eng.table), eng.steps) == (4, 5)
+    assert (len(eng.table), eng.steps) == (2, 2)
+    assert not eng.solve(ap(P("q"), C("c0")))
+    assert (len(eng.table), eng.steps) == (6, 6)
     # the bound call s d0 comes before p d0 Y enumerates Y, and its false
     # goal ends the body
     facts = " ".join(["u d%d." % i for i in range(20)] + ["r d1."])
@@ -569,7 +573,7 @@ def test_budget_exhaustion():
     prog, _ = analyze("edge a b. edge b a. path X Y :- (edge X Y). "
                       "path X Y :- (edge X Z), (path Z Y).")
     with pytest.raises(BudgetExhaustedError):
-        DemandEngine(prog, EngineConfig(step_budget=2)).solve(
+        DemandEngine(prog, EngineConfig(step_budget=1)).solve(
             ap(P("path"), C("a"), C("a")))
 
 
@@ -633,7 +637,7 @@ def test_demand_growth_k2_parity():
     # goals interned per input length n at k=2 d=1: the shape of the
     # engine's growth, which later changes to the engine must not worsen
     prog = compile_tm_higher_order(sample_machine("parity"), 2, 1)
-    for w, goals in (("aa", 364), ("aaa", 800), ("aaaa", 2885)):
+    for w, goals in (("aa", 341), ("aaa", 778), ("aaaa", 2714)):
         eng = DemandEngine(merge(prog, encode_input(w)))
         eng.solve(Pred("accept"))
         assert len(eng.table) == goals, w
@@ -643,8 +647,8 @@ def test_demand_growth_k2_parity():
 def test_demand_growth_k3_parity():
     # goals interned and goal runs at k=3 d=1, n = 1 and 2
     prog = compile_tm_higher_order(sample_machine("parity"), 3, 1)
-    for w, accept, goals, runs in (("a", False, 187, 259),
-                                   ("aa", True, 1795, 2641)):
+    for w, accept, goals, runs in (("a", False, 187, 187),
+                                   ("aa", True, 1733, 1733)):
         eng = DemandEngine(merge(prog, encode_input(w)))
         assert eng.solve(Pred("accept")) == accept, w
         assert (len(eng.table), eng.steps) == (goals, runs), w
@@ -663,6 +667,86 @@ def test_demand_chain_growth():
         assert len(eng.table) == n - 1, n
         assert eng.steps <= 2 * len(eng.table), n
 
+
+
+def test_demand_acyclic_goals_run_once():
+    # on an acyclic goal graph no read can flip later: every goal runs
+    # once, inside its caller, and no dependency edge is left
+    prog = compile_tm_higher_order(sample_machine("parity"), 2, 1)
+    eng = DemandEngine(merge(prog, encode_input("aa")))
+    assert eng.solve(Pred("accept"))
+    assert eng.steps == len(eng.table)
+    assert not eng.deps
+
+
+@pytest.mark.parametrize("text", [
+    "edge a b. edge b a. path X Y :- (edge X Y). "
+    "path X Y :- (edge X Z), (path Z Y).",
+    # left recursion first: a path goal reads itself false, and its base
+    # case comes later in its own run or in a goal called after it
+    "edge a b. edge b c. edge c a. edge c d. "
+    "path X Y :- (path X Z), (edge Z Y). path X Y :- (edge X Y).",
+])
+def test_demand_cycles_agree_with_naive(text):
+    prog, _ = analyze(text)
+    model = least_model_naive(prog).interpretation
+    warm = DemandEngine(prog)
+    for goal in ground_goals(prog):
+        want = truth_in_model(goal, model)
+        assert DemandEngine(prog).solve(goal) == want, goal
+        assert warm.solve(goal) == want, goal
+
+
+def test_demand_queued_cycle_agrees_with_seminaive():
+    # a ring longer than the eager nesting: goals past the cap are queued
+    # and read false, and the base case reaches them through flips
+    n = engines._EAGER_DEPTH + 10
+    prog, _ = analyze(" ".join("edge c%d c%d." % (i, (i + 1) % n)
+                               for i in range(n))
+                      + " base c%d. reach X :- (edge X Y), (reach Y). "
+                        "reach X :- (base X)." % (n - 1))
+    model = least_model_seminaive(prog).interpretation
+    for goal in ground_goals(prog):
+        assert (DemandEngine(prog).solve(goal)
+                == truth_in_model(goal, model)), goal
+
+
+def test_demand_stays_within_its_frame_budget():
+    # eager first runs add at most five frames a level to the stack, so a
+    # deep caller and a long chain never meet the recursion limit
+    text = "".join("edge n%d n%d. " % (i, i + 1) for i in range(5000))
+    chain, _ = analyze(text + "path X Y :- (edge X Y). "
+                              "path X Z :- (edge X Y), (path Y Z).")
+    goal = ap(P("path"), C("n0"), C("n5000"))
+    parity = merge(compile_tm_higher_order(sample_machine("parity"), 2, 1),
+                   encode_input("aaaa"))
+    # plans are compiled before the limit drops: compiling is not counted
+    assert DemandEngine(chain).solve(goal)
+    assert DemandEngine(parity).solve(Pred("accept"))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 5 * engines._EAGER_DEPTH + 20)
+    try:
+        assert DemandEngine(chain).solve(goal)
+        assert DemandEngine(parity).solve(Pred("accept"))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("engine", ["naive", "seminaive", "demand"])
+def test_warm_decision_leaves_no_cycles(engine):
+    prog = (compile_tm_first_order(sample_machine("parity"), 1)
+            if engine == "seminaive" else
+            compile_tm_higher_order(sample_machine("parity"), 2, 1)
+            if engine == "demand" else
+            analyze("accept :- (input 0 a end).")[0])
+    cfg = EngineConfig(engine=engine)
+    verdict = decide(prog, "aa", cfg)
+    gc.collect()
+    assert decide(prog, "aa", cfg) == verdict
+    assert gc.collect() == 0
 
 def test_seminaive_growth_fo_parity():
     # rounds and tuples of FO parity at d=2: tuples grow as simulated

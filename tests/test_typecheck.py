@@ -171,3 +171,24 @@ def test_typing_a_chain_follows_few_links(monkeypatch):
 def test_diagnostic_text(text, rendered):
     report = infer_types(parse_program(text))
     assert [d.render() for d in report.violations] == rendered
+
+
+# A type that would contain itself, and a predicate argument typed by an
+# arrow that does not end in o, are E101s; they were a RecursionError and
+# a ValueError.
+ILL_FORMED = [
+    ("r :- (R R).", ["<input>:1:1: E101 type clash: ? vs ? -> ?"]),
+    ("r :- (p = (a a)).", ["<input>:1:1: E101 type clash: ? vs ? -> ?"]),
+    ("q Z :- ((Z r) = (q R)).",
+     ["<input>:1:1: E101 type clash: o vs i",
+      "<input>:0:0: E101 predicate q has an argument of type i -> i"]),
+    ("#pred q : (i -> i) -> o.\n",
+     ["<input>:0:0: E101 predicate q has an argument of type i -> i"]),
+]
+
+
+@pytest.mark.parametrize("text, rendered", ILL_FORMED)
+def test_ill_formed_types_are_e101(text, rendered):
+    with pytest.raises(TypeCheckError) as err:
+        analyze(text)
+    assert [d.render() for d in err.value.diagnostics] == rendered
