@@ -1,35 +1,37 @@
 """Production evaluation engines.
 
-A program is prepared once, on its first decision (`_prepare`), and the
-preparation is kept while the program lives and its clauses stay the
-same; a decision on it adds only its input rows.  Preparing keeps facts
-(`p a b.`) apart as rows, never rules, and lowers each rule through one
-`_shape` for both fast engines: its variables, ground subterms and called
-predicate names are numbered out, and each body atom becomes an equality,
-a "rows" atom (read from the rows of a predicate held as a relation) or a
-subgoal call.  One planner, `_plan`, orders both engines' bodies, so that
-rows and bound calls bind variables before a call enumerates them.  Rules
-of one shape share a plan, emitted by one `_source` as Python source of
-nested loops and compiled once per process; a run binds the code to the
-resources `_resources` collects and to its constants.
+A program is prepared once, on its first decision (`_prepare`), and kept
+while it lives and its clauses stay the same.  Both fast engines hold an
+individual as its interned `Ind`.  A predicate with a rule keeps all its
+clauses as rules; any other predicate of order at most 1, `input`
+included, is a "rows" predicate, its facts (`p a b.`) made once into
+rows, and a decision adds only its input rows (`_Prepared.with_input`).
+One `_shape` lowers each rule for both engines: its variables, ground
+subterms and called predicate names are numbered out, and each body atom
+becomes an equality, a "rows" atom (read from the rows of a predicate
+held as a relation) or a subgoal call.  One planner, `_plan`, orders both
+engines' bodies, so that rows and bound calls bind variables before a
+call enumerates them.  Rules of one shape share a plan, emitted by one
+`_source` as Python source of nested loops and compiled once per
+process; a run binds the code to the resources `_resources` collects and
+to its constants.
 
 * least_model_seminaive: delta-driven bottom-up evaluation for first-order
-  programs; every predicate is a "rows" predicate, and relations hold
-  tuples of the model's own interned `Ind`s, so the model is a copy of
-  the fixpoint's sets.  Each rule shape is planned once per delta focus.
-  Probes go through one hash index per (predicate, bound positions); a
-  probe that binds every position tests the relation itself.  Only live
-  indexes, those a recurring plan probes, are kept and extended with each
-  round's new tuples.  A plan recurs if its focus predicate heads a rule;
-  a plan focused on a predicate given by facts alone runs in round 1 only.
+  programs; every predicate is read as rows, and relations hold tuples of
+  the model's own `Ind`s, so the model is a copy of the fixpoint's sets.
+  Each rule shape is planned once per delta focus.  Probes go through one
+  hash index per (predicate, bound positions); a probe that binds every
+  position tests the relation itself.  Only live indexes, those a
+  recurring plan probes, are kept and extended with each round's new
+  tuples.  A plan recurs if its focus predicate heads a rule; a plan
+  focused on a rows predicate runs in round 1 only.
 * DemandEngine: demand-driven tabled evaluation for higher-order
-  programs.  Ground terms are hash-consed into int ids, and a ground goal
-  is memoized under (pred name, arg id, ...); an atom of a predicate given
-  only by facts is a "rows" atom, looked up in indexed rows of ids, never
-  tabled.  A new subgoal runs when first called, nested in its caller up
-  to a fixed depth; only readers of a false entry that may still flip are
-  recorded, and re-enqueued when it flips.  Trace lines, rendered without
-  recursion, go to stderr.
+  programs.  A ground goal is memoized under (pred name, arg, ...), a
+  closure argument hash-consed into an int id; a rows atom is looked up
+  in indexed rows, never tabled.  A new subgoal runs when first called,
+  nested in its caller up to a fixed depth; only readers of a false entry
+  that may still flip are recorded, and re-enqueued when it flips.  Trace
+  lines, rendered without recursion, go to stderr.
 * decide: the accept/reject entry point.  It and the CLI's crosscheck go
   through `_run_engine`, the one place that picks an engine by name.
 """
@@ -45,8 +47,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import (App, BudgetExhaustedError, Const, Eq, HodlError, OMICRON,
-                   Pred, Var, app_spine, expr_vars, type_order)
-from .encode import encode_input, input_rows, merge, merged_constants
+                   Pred, Var, app_spine, expr_vars, render_type, type_order)
+from .encode import (INPUT_TYPE, encode_input, input_rows, merge,
+                     merged_constants)
 from .semantics import TRUE, Bool, FixpointResult, Ind, Rel, least_model_naive
 
 
@@ -97,7 +100,8 @@ def _shape(cl, rows):
     application with variables is ("a", fn, arg).  An atom is ("eq", left,
     right), ("rows", terms) for a predicate in `rows`, or ("call", head,
     terms, variables in sorted-name order, closure-headed), its head the
-    name's constant or, closure-headed, a term.
+    name's constant or, closure-headed, a term.  An individual constant
+    is its `Ind`; a ground closure stays an expression.
     """
     var, const, preds, atoms = {}, {}, [], []
 
@@ -132,7 +136,8 @@ def _shape(cl, rows):
         names = sorted({v.name for v in expr_vars(b)})
         atoms.append(("call", head, tuple(map(term, args)),
                       tuple(("v", var[n]) for n in names), pred is None))
-    return (formals, tuple(atoms), len(const)), preds, tuple(const)
+    return (formals, tuple(atoms), len(const)), preds, tuple(
+        Ind(c.name) if isinstance(c, Const) else c for c in const)
 
 
 class _Slots:
@@ -356,10 +361,7 @@ def _plan(atoms, slots, focus=None):
         work.remove(pick)
         if atom[0] == "eq":
             steps.append(_eq_step(atom, slots))
-        elif atom[0] == "rows":
-            for t in atom[1]:
-                if t[0] == "a":
-                    ground(t)
+        elif atom[0] == "rows":  # of order at most 1: no application
             steps.append(_match_step("probe", pick, atom, slots))
         else:
             _, head, terms, variables, closure = atom
@@ -374,44 +376,56 @@ def _plan(atoms, slots, focus=None):
 # Programs prepared once
 
 class _Prepared:
-    """A program lowered once, for every decision made on it: facts as rows
-    of constant names, rules by head, and on first use the seminaive half
+    """A program lowered once, for every decision made on it: `rules` by
+    head, the `rows` of each rows predicate (a repeated fact is a repeated
+    row) and the `universe`, in `Ind`s, and on first use the seminaive half
     and each demand predicate's lowered rules.  Copies of the program's
     lists and signatures tell when it changed; it is not held itself."""
 
     def __init__(self, prog):
         self.clauses, self.constants, self.signatures = (
             list(prog.clauses), list(prog.constants), dict(prog.signatures))
-        self.facts = {}  # pred -> [row of constant names, ...]
-        self.rules = {}  # pred -> [rule Clause, ...]
-        for cl in prog.clauses:
-            row = _fact_row(cl)
-            if row is None:
+        lowered = [(cl, _fact_row(cl)) for cl in prog.clauses]
+        ruled = {cl.head for cl, row in lowered if row is None}
+        self.rows = {p: [] for p in ("input", *self.signatures)
+                     if p not in ruled and type_order(self.signatures.get(
+                         p, INPUT_TYPE)) <= 1}  # pred -> [row, ...]
+        self.rules = {}  # pred -> [Clause, ...]
+        for cl, row in lowered:
+            if cl.head in ruled:
                 self.rules.setdefault(cl.head, []).append(cl)
             else:
-                self.facts.setdefault(cl.head, []).append(row)
-        self.demand = {}  # (pred, input is extensional) -> [body, ...]
+                self.rows.setdefault(cl.head, []).append(tuple(map(Ind, row)))
+        self.universe = list(map(Ind, self.constants))
+        self.demand = {}  # pred -> [body, ...]
         self.plans = None
 
-    def bodies(self, pred, extensional):
-        """(preds, consts, steps, make) of pred's rules for a demand engine
-        with these `extensional` predicates (they differ only in input)."""
-        key = pred, "input" in extensional
-        rules = self.demand.get(key)
+    def with_input(self, inputs):
+        """The universe and rows of a decision with `inputs`: None, or the
+        input/3 rows added to the program and the merged constants."""
+        if inputs is None:
+            return self.universe, self.rows
+        rows, names = inputs
+        return list(map(Ind, names)), {**self.rows, "input": self.rows.get(
+            "input", []) + [tuple(map(Ind, row)) for row in rows]}
+
+    def bodies(self, pred):
+        """(preds, consts, steps, make) of pred's rules, lowered for demand."""
+        rules = self.demand.get(pred)
         if rules is None:
-            rules = self.demand[key] = []
+            rules = self.demand[pred] = []
             for cl in self.rules.get(pred, ()):
-                shape, preds, consts = _shape(cl, extensional)
+                shape, preds, consts = _shape(cl, self.rows)
                 rules.append((preds, consts, *_demand_body(shape)))
         return rules
 
     def seminaive(self):
-        """Self, with the seminaive half made: `universe` and fact `rows` in
-        `Ind`s; plans (head, preds, consts, steps, make) with no focus
-        (`seeds`) and by focus predicate (`plans`), with the heads each
-        focus's plans emit (`heads`); and the (pred, key positions) that a
-        plan whose focus heads a rule probes (`live`).  Any other plan runs
-        in round 1 only, the one round its focus has a delta."""
+        """Self, with the seminaive half made: plans (head, preds, consts,
+        steps, make) with no focus (`seeds`) and by focus predicate
+        (`plans`), with the heads each focus's plans emit (`heads`); and
+        the (pred, key positions) that a plan whose focus heads a rule
+        probes (`live`).  Any other plan runs in round 1 only, the one
+        round its focus has a delta."""
         if self.plans is not None:
             return self
         for p, ty in self.signatures.items():
@@ -419,14 +433,10 @@ class _Prepared:
                 raise EngineError("seminaive engine requires a first-order "
                                   "program (predicate %s has order %d)"
                                   % (p, type_order(ty)))
-        self.universe = list(map(Ind, self.constants))
-        self.rows = {p: [tuple(map(Ind, row)) for row in rows]
-                     for p, rows in self.facts.items()}
         seeds, plans, heads = [], {}, {}
         for head, rules in self.rules.items():
             for cl in rules:
                 key, preds, consts = _shape(cl, self.signatures)
-                consts = tuple(Ind(c.name) for c in consts)
                 for focus, steps, make in _rule_plans(key):
                     plan = (head, preds, consts, steps, make)
                     if focus is None:
@@ -496,12 +506,11 @@ class _Joins:
     the round-1 plan that probes it.
     """
 
-    def __init__(self, universe, budget, live, preds, facts):
+    def __init__(self, universe, facts, budget, live, preds):
         """Each of `preds` starts empty, and round 0's output is the rows of
         `facts`, {pred: [row, ...]}, one step of the budget each."""
         self.universe, self.budget, self.live = universe, budget, live
-        self.total = {}
-        self.out = {}
+        self.total, self.out = {}, {}
         self.indexes = {}  # pred -> {key positions: {key: [row, ...]}}
         for p in (*preds, *facts):
             self.rel(p)
@@ -559,13 +568,8 @@ def _seminaive_fixpoint(prog, cfg, inputs=None):
     the number of productive rounds, for prog with `inputs`: None, or the
     rows of input/3 facts added to it and the merged constants."""
     prep = _prepare(prog).seminaive()
-    universe, facts = prep.universe, prep.rows
-    if inputs is not None:
-        universe = list(map(Ind, inputs[1]))
-        facts = {**facts, "input": facts.get("input", [])
-                 + [tuple(map(Ind, row)) for row in inputs[0]]}
-    joins = _Joins(universe, cfg.step_budget, prep.live, prep.signatures,
-                   facts)
+    joins = _Joins(*prep.with_input(inputs), cfg.step_budget, prep.live,
+                   prep.signatures)
     for plan in prep.seeds:
         joins.bind(*plan)()
     delta, iterations = joins.end_round(joins.out), 0
@@ -594,11 +598,9 @@ def least_model_seminaive(prog, cfg=None):
     copy of a fixpoint set.
     """
     total, iterations = _seminaive_fixpoint(prog, cfg or EngineConfig())
-    interp = {}
-    for p, ty in prog.signatures.items():
-        interp[p] = (Bool(() in total[p]) if ty == OMICRON
-                     else Rel(ty, frozenset(total[p])))
-    return FixpointResult(interp, iterations)
+    return FixpointResult({p: Bool(() in total[p]) if ty == OMICRON
+                           else Rel(ty, frozenset(total[p]))
+                           for p, ty in prog.signatures.items()}, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -631,38 +633,29 @@ class DemandEngine:
     `inputs`: None, or the rows of input/3 facts added to it and the
     merged constants.
 
-    Ground terms are interned as int ids, a leaf as ("c", name) or ("p",
-    name) and an application as (fn id, arg id), so equal terms have equal
-    ids however deep they are.  A goal's table key is (pred name, arg id,
-    ...), or ("=", left id, right id) for an equation; a closure-headed
-    goal flattens through the id table.  Fact rows are checked before a
-    goal's rules, whose bodies (`_demand_body`) are bound to this engine
-    on the predicate's first call in a `solve`.  Entries start false and
-    may flip to true exactly once.  A new subgoal runs at once, nested in
-    its caller, or is queued past `_EAGER_DEPTH` nested runs.  Readers of
-    an open entry, a false one that may still flip, are recorded and
-    re-enqueued when it flips; a goal whose false run read no open entry
-    is final, and every entry is once the queue is empty.  So the stable
-    table is the least fixpoint over the discovered goals.
+    An individual is its `Ind`.  A closure is interned as an int id, a
+    predicate leaf as its name and an application as (fn id, arg), so equal
+    closures have equal ids however deep they are.  A goal's table key is
+    (pred name, arg, ...); a closure-headed goal flattens through the id
+    table.  A goal of a rows predicate reads its rows; a ruled predicate's
+    bodies (`_demand_body`) are bound to this engine on its first call in a
+    `solve`.  Entries start false and may flip to true exactly once.  A new
+    subgoal runs at once, nested in its caller, or is queued past
+    `_EAGER_DEPTH` nested runs.  Readers of an open entry, a false one that
+    may still flip, are recorded and re-enqueued when it flips; a goal
+    whose false run read no open entry is final, and every entry is once
+    the queue is empty.  So the stable table is the least fixpoint.
     """
 
     def __init__(self, prog, cfg=None, inputs=None):
         self.cfg = cfg or EngineConfig()
         self.prep = _prepare(prog)
-        self.nodes = []  # id -> node
-        self.ids = {}  # node -> id
-        self.texts = {}  # id -> text, for traces
-        facts, names = self.prep.facts, prog.constants
-        if inputs is not None:
-            facts = {**facts, "input": facts.get("input", []) + inputs[0]}
-            names = inputs[1]
-        self.universe = [self._id(("c", c)) for c in names]
-        # pred -> {row of arg ids: None}, in insertion order
-        self.facts = {p: dict.fromkeys(tuple(self._id(("c", c)) for c in row)
-                                       for row in rows)
-                      for p, rows in facts.items()}
-        self.extensional = self.facts.keys() - self.prep.rules.keys()
+        self.universe, rows = self.prep.with_input(inputs)
+        self.rels = {p: dict.fromkeys(r) for p, r in rows.items()}  # ordered
         self.indexes = {}  # (pred, key positions) -> {key: [row, ...]}
+        self.nodes = []  # closure id -> node
+        self.ids = {}  # node -> closure id
+        self.texts = {}  # arg -> text, for traces
         self.table = {}
         self.open = set()  # false entries that may still flip
         self.deps = {}  # open key -> {dependent key: None}, in insertion order
@@ -673,8 +666,10 @@ class DemandEngine:
 
     def solve(self, goal):
         """A ground atom's truth in the least model; tabled goals are final."""
-        key = (("=", self._term_id(goal.left), self._term_id(goal.right))
-               if isinstance(goal, Eq) else self._spine(self._term_id(goal)))
+        head, args = app_spine(goal)
+        if not isinstance(head, Pred):
+            raise EngineError("goal head is not a predicate: %r" % (head,))
+        key = (head.name, *map(self._term_id, args))
         if key not in self.table:
             self._intern(key)
             self.pending.append(key)
@@ -692,47 +687,43 @@ class DemandEngine:
         return i
 
     def _term_id(self, e):
-        """The id of a ground term."""
+        """The `Ind` of an individual, or the id of a ground closure."""
         if isinstance(e, App):
             return self._id((self._term_id(e.fn), self._term_id(e.arg)))
         if isinstance(e, Var):
             raise EngineError("not a ground term: variable %s" % e.name)
-        return self._id(("p" if isinstance(e, Pred) else "c", e.name))
+        return self._id(e.name) if isinstance(e, Pred) else Ind(e.name)
 
     def _spine(self, i):
-        """The key prefix (pred name, arg id, ...) of the closure id i."""
+        """The key prefix (pred name, arg, ...) of the closure id i."""
         node, spine = self.nodes[i], []
-        while type(node[0]) is int:
+        while type(node) is tuple:
             spine.append(node[1])
             node = self.nodes[node[0]]
-        if node[0] != "p":
-            raise EngineError("goal head is not a predicate constant: %s"
-                              % node[1])
-        return (node[1], *reversed(spine))
+        return (node, *reversed(spine))
 
     def _render(self, key):
         """A goal's text, for traces."""
-        if key[0] == "=":
-            return "(%s = %s)" % (self._text(key[1]), self._text(key[2]))
         return " ".join([key[0], *map(self._text, key[1:])])
 
-    def _text(self, i):
-        """The text of the term with id i as an argument, an application in
-        parentheses.  Texts are kept, and built bottom-up from an explicit
-        stack, since a closure can nest deeper than Python recurses."""
-        texts, todo = self.texts, [i]
+    def _text(self, arg):
+        """The text of an argument, an application in parentheses.  Texts
+        are kept, and built bottom-up from an explicit stack, since a
+        closure can nest deeper than Python recurses."""
+        texts, todo = self.texts, [arg]
         while todo:
-            node, args = self.nodes[todo[-1]], []
-            while type(node[0]) is int:
+            top, args = todo[-1], []
+            node = top.name if type(top) is Ind else self.nodes[top]
+            while type(node) is tuple:
                 args.append(node[1])
                 node = self.nodes[node[0]]
             new = [a for a in args if a not in texts]
             if new:
                 todo += new
                 continue
-            texts[todo.pop()] = ("(%s %s)" % (node[1], " ".join(
-                texts[a] for a in reversed(args))) if args else node[1])
-        return texts[i]
+            texts[todo.pop()] = ("(%s %s)" % (node, " ".join(
+                texts[a] for a in reversed(args))) if args else node)
+        return texts[arg]
 
     def _intern(self, key):
         self.table[key] = False
@@ -789,10 +780,11 @@ class DemandEngine:
         return False
 
     def _bind(self, preds, consts, steps, make):
-        """A rule's body bound to this engine; an index of fact rows it
-        probes is built here if it is new."""
-        consts = [c if type(c) is str else self._term_id(c) for c in consts]
-        res = _resources(steps, preds, self.facts.__getitem__, self._index)
+        """A rule's body bound to this engine; an index of rows it probes is
+        built here if it is new."""
+        consts = [self._term_id(c) if isinstance(c, (App, Pred)) else c
+                  for c in consts]
+        res = _resources(steps, preds, self.rels.__getitem__, self._index)
         return make(res, consts, self._id, self._call, self._spine,
                     self.universe)
 
@@ -800,18 +792,22 @@ class DemandEngine:
         idx = self.indexes.get((pred, positions))
         if idx is None:
             idx = self.indexes[pred, positions] = {}
-            _extend(idx, positions, self.facts[pred])
+            _extend(idx, positions, self.rels[pred])
         return idx
 
+    def _input_row(self, key, *args):
+        return args in self.rels["input"]
+
     def _eval_goal(self, key):
-        if key[0] == "=":
-            return key[1] == key[2]
-        if key[1:] in self.facts.get(key[0], ()):
-            return True
-        rules = self.bodies.get(key[0])
+        pred = key[0]
+        if pred not in self.prep.rules:
+            return key[1:] in self.rels.get(pred, ())
+        rules = self.bodies.get(pred)
         if rules is None:
-            rules = self.bodies[key[0]] = list(itertools.starmap(
-                self._bind, self.prep.bodies(key[0], self.extensional)))
+            rules = self.bodies[pred] = list(itertools.starmap(
+                self._bind, self.prep.bodies(pred)))
+            if pred in self.rels:  # a ruled input: its rows are one more body
+                rules.insert(0, self._input_row)
         for body in rules:
             if body(key, *key[1:]):
                 return True
@@ -825,6 +821,9 @@ def _run_engine(prog, w, cfg):
     """Run the engine `cfg` names on prog with the input facts of w (None:
     none); the fast engines take them as rows added to the prepared prog.
     Returns (accept holds, steps taken, the unit of those steps)."""
+    ty = prog.signatures.get("accept", OMICRON)
+    if ty != OMICRON:
+        raise EngineError("accept has type %s, not o" % render_type(ty))
     inputs = None
     if w is not None:
         rows = input_rows(w)

@@ -66,6 +66,16 @@ def test_run_exit_codes(tmp_path, capsys):
     assert "accept" in out and "reject" in out
 
 
+@pytest.mark.parametrize("engine", ["naive", "seminaive", "demand"])
+def test_accept_with_arguments_is_an_error(tmp_path, engine, capsys):
+    p = tmp_path / "accept_x.hodl"
+    p.write_text("p a. accept X :- (p X).\n")
+    assert main(["run", str(p), "--engine", engine]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: accept has type i -> o, not o\n"
+
+
 def test_run_budget_exit_code(tmp_path):
     p = tmp_path / "loop.hodl"
     p.write_text("step X Y :- (input X S Y). reach X Y :- (step X Y). "

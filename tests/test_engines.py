@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import C, P, analyzed_corpus, ap, ground_goals, truth_in_model
 from hodatalog import engines
 from hodatalog.codegen import compile_tm_first_order, compile_tm_higher_order
-from hodatalog.core import Eq, Pred, Var
+from hodatalog.core import Pred, Var
 from hodatalog.encode import encode_input, merge
 from hodatalog.engines import (BudgetExhaustedError, DemandEngine,
                                EngineConfig, EngineError, _seminaive_fixpoint,
@@ -90,10 +90,10 @@ def test_seminaive_matches_naive_on_random_programs(text):
          "e X Y :- (u X). "                 # facts and rules for one predicate
          "z :- (e b a).")
 @example("e a b. e b a. "
-         "u X :- (e X X). "                 # extensional, repeated variable
+         "u X :- (e X X). "                 # rows atom, repeated variable
          "z :- (e X X).")                   # ... free there: no row matches
 @example("e a b. e b c. e c c. "
-         "u Y :- (e a Y). "                 # extensional, a constant
+         "u Y :- (e a Y). "                 # rows atom, a constant
          "t X Y Z :- (e a W), (e W X). "    # ... and a free variable
          "z :- (e X Y).")                   # ... every argument unbound
 def test_demand_matches_naive_on_random_programs(text):
@@ -101,9 +101,7 @@ def test_demand_matches_naive_on_random_programs(text):
     assert report.ok, report.violations
     model = least_model_naive(prog).interpretation
     eng = DemandEngine(prog)
-    consts = [C(c) for c in prog.constants]
-    goals = ground_goals(prog) + [Eq(x, y) for x in consts for y in consts]
-    for goal in goals:
+    for goal in ground_goals(prog):
         assert eng.solve(goal) == truth_in_model(goal, model), goal
 
 
@@ -145,7 +143,7 @@ def _ho_clause(draw):
          "q R X :- (f X Y), (R Y). "        # binds Y from a fact row
          "z :- (q u a).")
 @example(HO_FACTS +
-         "u Y :- (f X X), (X = Y). "        # extensional, repeated variable
+         "u Y :- (f X X), (X = Y). "        # rows atom, repeated variable
          "h S X :- (Y = Z), (S Y X), (q (S Z) X). "  # unbound equality first
          "z :- (h f b).")
 @example(HO_FACTS +
@@ -317,7 +315,9 @@ def _count_lowering(monkeypatch):
 
 def test_second_decision_lowers_nothing(monkeypatch):
     # a program is prepared on its first decision: the next ones on the
-    # same program object, whatever their input, lower no clause again
+    # same program object, whatever their input, lower no clause again;
+    # rows predicates do not depend on the input, so a demand decision
+    # without input rows shares the bodies lowered with them
     fo = compile_tm_first_order(sample_machine("parity"), 2)
     ho = compile_tm_higher_order(sample_machine("parity"), 2, 1)
     prog, _ = analyze("edge a b. edge b c. path X Y :- (edge X Y). "
@@ -331,6 +331,7 @@ def test_second_decision_lowers_nothing(monkeypatch):
     calls = _count_lowering(monkeypatch)
     assert decide(fo, "aab", semi) == "accept"
     assert decide(ho, "ab") == "reject"
+    assert decide(ho, None) == "reject"
     assert least_model_seminaive(prog).iterations == 3
     assert not eng.solve(ap(P("path"), C("c"), C("a")))  # a new solve
     assert DemandEngine(prog).solve(ap(P("path"), C("b"), C("c")))
@@ -474,6 +475,19 @@ def test_fact_rows_agree_with_naive(text, rows):
             goal, naive.interpretation), goal
 
 
+def test_rules_for_input_keep_the_input_rows():
+    # input has a rule, so it is a ruled predicate, not a rows one: a
+    # decision's input rows still hold beside what its rules derive
+    prog, report = analyze("input X a Y :- (extra X Y). extra 0 1. "
+                           "accept :- (input 0 b end), (input 0 a 1).")
+    assert report.ok, report.violations
+    for engine in ("naive", "seminaive", "demand"):
+        cfg = EngineConfig(engine=engine)
+        assert decide(prog, "b", cfg) == "accept", engine
+        assert decide(prog, "a", cfg) == "reject", engine
+        assert decide(prog, None, cfg) == "reject", engine
+
+
 def test_seminaive_rejects_higher_order():
     prog, _ = analyze("q R :- (R a).")
     with pytest.raises(EngineError):
@@ -503,14 +517,12 @@ def test_demand_closure_goal():
     assert not DemandEngine(prog).solve(ap(P("twice"), P("f"), C("b")))
 
 
-def test_demand_solves_equations_and_ground_application_arguments():
-    # a goal keyed as ("=", l, r), and a rule whose atom's argument is the
-    # ground application (twice f), lowered as one constant
+def test_demand_solves_ground_application_arguments():
+    # a rule whose atom's argument is the ground application (twice f),
+    # lowered as one constant
     prog, _ = analyze("f a. twice R X :- (R X), (R X). "
                       "apply F X :- (F X). r :- (apply (twice f) a).")
     eng = DemandEngine(prog)
-    assert eng.solve(Eq(C("a"), C("a")))
-    assert not eng.solve(Eq(C("a"), C("b")))
     assert eng.solve(ap(P("apply"), ap(P("twice"), P("f")), C("a")))
     assert not eng.solve(ap(P("apply"), ap(P("twice"), P("f")), C("b")))
     assert eng.solve(P("r"))
