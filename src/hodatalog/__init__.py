@@ -9,7 +9,7 @@ from .semantics import dump_model, least_model_naive
 from .engines import (DemandEngine, EngineConfig, decide,
                       least_model_seminaive)
 from .tm import TuringMachine, parse_tm, sample_machine, tm_run
-from .codegen import (compile_tm_first_order, compile_tm_higher_order,
-                      short_string_rules)
+from .codegen import (compile_tm, compile_tm_first_order,
+                      compile_tm_higher_order, short_string_rules)
 
 __version__ = "0.1.0"

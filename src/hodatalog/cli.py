@@ -12,8 +12,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .codegen import (GenerationError, compile_tm_first_order,
-                      compile_tm_higher_order, emit_hodl)
+from .codegen import compile_tm, emit_hodl
 from .core import (BudgetExhaustedError, HodlError, compute_stats, expk,
                    iteration_bound)
 from .encode import ALPHABET, encode_input, merge
@@ -186,12 +185,7 @@ def _row_worker(w):
 def cmd_crosscheck(args):
     machine = _load_machine(args.file)
     k, d = args.order, args.d
-    if k < 1:
-        raise GenerationError("order must be >= 1")
-    if k == 1:
-        prog = compile_tm_first_order(machine, d)
-    else:
-        prog = compile_tm_higher_order(machine, k, d)
+    prog = compile_tm(machine, k, d)
     words = _all_strings(args.max_len)
     # fail fast on machine/d pairs the simulation budget cannot cover
     for w in words:

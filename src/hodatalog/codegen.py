@@ -182,12 +182,7 @@ def first_order_text(machine, d):
 
 
 def compile_tm_first_order(machine, d):
-    text = "\n".join(first_order_text(machine, d))
-    prog, report = analyze(text)
-    if not report.ok:
-        raise GenerationError("generated program failed validation: %s"
-                              % report.violations)
-    return prog
+    return compile_tm(machine, 1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -434,25 +429,35 @@ def higher_order_text(machine, k, d):
 
 
 def compile_tm_higher_order(machine, k, d):
-    text = "\n".join(higher_order_text(machine, k, d))
-    prog, report = analyze(text)
+    if k < 2:
+        raise GenerationError("higher-order simulation requires k >= 2")
+    return compile_tm(machine, k, d)
+
+
+# ---------------------------------------------------------------------------
+# Programs of any order, and file output
+
+def program_text(machine, k, d):
+    """The lines of the order-k program simulating machine at degree d."""
+    if k < 1:
+        raise GenerationError("order must be >= 1")
+    if k == 1:
+        return first_order_text(machine, d)
+    return higher_order_text(machine, k, d)
+
+
+def compile_tm(machine, k, d):
+    """The core program of `program_text`, typed and validated."""
+    prog, report = analyze("\n".join(program_text(machine, k, d)))
     if not report.ok:
         raise GenerationError("generated program failed validation: %s"
                               % report.violations)
     return prog
 
 
-# ---------------------------------------------------------------------------
-# File output
-
 def emit_hodl(machine, k, d):
     """Full .hodl text with a provenance header, ready to write to disk."""
-    if k < 1:
-        raise GenerationError("order must be >= 1")
-    if k == 1:
-        body = first_order_text(machine, d)
-    else:
-        body = higher_order_text(machine, k, d)
+    body = program_text(machine, k, d)
     header = ["%% machine: %s" % machine.name,
               "%% k: %d  d: %d" % (k, d),
               "%% generator: hodatalog %s" % GENERATOR_VERSION]

@@ -168,17 +168,6 @@ def expr_vars(e):
         yield from expr_vars(e.right)
 
 
-def expr_consts(e):
-    if isinstance(e, Const):
-        yield e.name
-    elif isinstance(e, App):
-        yield from expr_consts(e.fn)
-        yield from expr_consts(e.arg)
-    elif isinstance(e, Eq):
-        yield from expr_consts(e.left)
-        yield from expr_consts(e.right)
-
-
 # ---------------------------------------------------------------------------
 # Clauses and programs
 
@@ -205,9 +194,12 @@ DESIGNATED_CONSTANT = "u0"
 
 @dataclass
 class Program:
+    """Rules as clauses, and ground facts as rows of constant names:
+    `facts` is {pred: [row, ...]}, `p a b.` being the row ("a", "b")."""
     signatures: dict
     clauses: list
     constants: list
+    facts: dict = field(default_factory=dict)
 
     def clauses_for(self, pred):
         return [cl for cl in self.clauses if cl.head == pred]
@@ -215,15 +207,8 @@ class Program:
 
 def input_numerals(prog):
     """All-digit constants occurring in input/3 facts of the program."""
-    out = set()
-    for cl in prog.clauses:
-        if cl.head != "input":
-            continue
-        for e in cl.body:
-            for c in expr_consts(e):
-                if c.isdigit():
-                    out.add(c)
-    return out
+    return {c for row in prog.facts.get("input", ()) for c in row
+            if c.isdigit()}
 
 
 # ---------------------------------------------------------------------------
@@ -262,38 +247,43 @@ def _involved_types(prog):
 
 
 def compute_stats(prog):
+    """The paper's measures of prog, a fact row counting as one clause of
+    1 + arity atoms."""
     numerals = input_numerals(prog)
     consts = [c for c in prog.constants if c not in numerals]
     types = _involved_types(prog)
+    rows = [row for rows in prog.facts.values() for row in rows]
     return ProgramStats(
-        l=max((cl.atoms() for cl in prog.clauses), default=0),
+        l=max([cl.atoms() for cl in prog.clauses]
+              + [1 + len(row) for row in rows], default=0),
         c=len(consts),
-        r=len(prog.clauses),
+        r=len(prog.clauses) + len(rows),
         p=len(prog.signatures),
         s=len(types),
         t=max((type_arity(ty) for ty in types), default=0),
     )
 
 
-DEFAULT_BIT_CAP = 1 << 20
+# The most bits an expk result or iteration bound may take.
+BIT_CAP = 1 << 20
 
 
-def expk(k, x, bit_cap=DEFAULT_BIT_CAP):
+def expk(k, x):
     """Iterated exponential: expk(0, x) = x, expk(k+1, x) = 2 ** expk(k, x)."""
     if k < 0 or x < 0:
         raise ValueError("expk arguments must be nonnegative")
     v = x
     for _ in range(k):
-        if v > bit_cap:
+        if v > BIT_CAP:
             raise ResourceLimitError(
-                "expk result would exceed %d bits" % bit_cap)
+                "expk result would exceed %d bits" % BIT_CAP)
         v = 1 << v
-    if v.bit_length() > bit_cap:
-        raise ResourceLimitError("expk result exceeds %d bits" % bit_cap)
+    if v.bit_length() > BIT_CAP:
+        raise ResourceLimitError("expk result exceeds %d bits" % BIT_CAP)
     return v
 
 
-def iteration_bound(stats, n, k, bit_cap=DEFAULT_BIT_CAP):
+def iteration_bound(stats, n, k):
     """Upper bound on productive bottom-up iterations for a program of order k."""
     if k < 1:
         raise ValueError("program order must be >= 1")
@@ -303,10 +293,10 @@ def iteration_bound(stats, n, k, bit_cap=DEFAULT_BIT_CAP):
         bound = stats.p * base ** t
     else:
         inner = (t ** (k - 2)) * base ** t
-        e = expk(k - 1, inner, bit_cap=bit_cap)
-        if e.bit_length() * max(t, 1) > bit_cap:
-            raise ResourceLimitError("iteration bound exceeds %d bits" % bit_cap)
+        e = expk(k - 1, inner)
+        if e.bit_length() * max(t, 1) > BIT_CAP:
+            raise ResourceLimitError("iteration bound exceeds %d bits" % BIT_CAP)
         bound = stats.p * e ** t
-    if bound.bit_length() > bit_cap:
-        raise ResourceLimitError("iteration bound exceeds %d bits" % bit_cap)
+    if bound.bit_length() > BIT_CAP:
+        raise ResourceLimitError("iteration bound exceeds %d bits" % BIT_CAP)
     return bound

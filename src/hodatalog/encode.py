@@ -1,9 +1,9 @@
-"""Ordered-database encoding of input strings over {a, b}."""
+"""Ordered-database encoding of input strings over {a, b}: the rows of the
+relation input/3, added to a program's facts."""
 
 from __future__ import annotations
 
-from .core import (Clause, Const, DESIGNATED_CONSTANT, Eq, Formal, HodlError,
-                   IOTA, Program, Var, arrow)
+from .core import DESIGNATED_CONSTANT, HodlError, IOTA, Program, arrow
 
 ALPHABET = ("a", "b")
 END = "end"
@@ -16,13 +16,7 @@ class EncodingError(HodlError):
     pass
 
 
-def _fact(pred, args):
-    formals = tuple(Formal("_H%d" % (i + 1), IOTA) for i in range(len(args)))
-    body = tuple(Eq(Var(f.name, IOTA), Const(a, IOTA)) for f, a in zip(formals, args))
-    return Clause(pred, formals, body)
-
-
-def input_rows(w):
+def encode_input(w):
     """The constant names of each input/3 fact of w: an ordered chain of
     positions ending in `end`."""
     for ch in w:
@@ -35,11 +29,6 @@ def input_rows(w):
             for i, ch in enumerate(w)]
 
 
-def encode_input(w):
-    """Facts for input/3: an ordered chain of positions ending in `end`."""
-    return [_fact("input", row) for row in input_rows(w)]
-
-
 def merged_constants(prog, rows):
     """The constants of prog merged with input/3 rows: prog's own, then
     each new one in first-occurrence order.  Raises EncodingError if prog
@@ -48,7 +37,7 @@ def merged_constants(prog, rows):
     if declared is not None and declared != INPUT_TYPE:
         raise EncodingError("program declares input at type %r" % declared)
     constants = list(prog.constants)
-    if constants == [DESIGNATED_CONSTANT] and not prog.clauses:
+    if constants == [DESIGNATED_CONSTANT] and not (prog.clauses or prog.facts):
         constants = []
     seen = set(constants)
     for row in rows:
@@ -59,10 +48,11 @@ def merged_constants(prog, rows):
     return constants
 
 
-def merge(prog, facts):
-    """Union a program with ground input/3 facts."""
-    constants = merged_constants(
-        prog, [[b.right.name for b in cl.body] for cl in facts])
+def merge(prog, rows):
+    """Union a program with input/3 rows: they follow its own input facts."""
     signatures = dict(prog.signatures)
     signatures["input"] = INPUT_TYPE
-    return Program(signatures, list(prog.clauses) + list(facts), constants)
+    facts = dict(prog.facts)
+    facts["input"] = [*facts.get("input", ()), *rows]
+    return Program(signatures, list(prog.clauses),
+                   merged_constants(prog, rows), facts)

@@ -1,37 +1,39 @@
 """Production evaluation engines.
 
 A program is prepared once, on its first decision (`_prepare`), and kept
-while it lives and its clauses stay the same.  Both fast engines hold an
-individual as its interned `Ind`.  A predicate with a rule keeps all its
-clauses as rules; any other predicate of order at most 1, `input`
-included, is a "rows" predicate, its facts (`p a b.`) made once into
-rows, and a decision adds only its input rows (`_Prepared.with_input`).
-One `_shape` lowers each rule for both engines: its variables, ground
-subterms and called predicate names are numbered out, and each body atom
-becomes an equality, a "rows" atom (read from the rows of a predicate
-held as a relation) or a subgoal call.  One planner, `_plan`, orders both
-engines' bodies, so that rows and bound calls bind variables before a
-call enumerates them.  Rules of one shape share a plan, emitted by one
+while it lives and its clauses and facts stay the same.  Both fast
+engines hold an individual as its interned `Ind`.  A program's facts are
+rows of constant names from the front end on; they are made once into
+rows of `Ind`s, and a decision adds only its input rows
+(`_Prepared.with_input`).  A predicate of order at most 1 with no rule,
+`input` included, is a "rows" predicate.  One `_shape` lowers each rule
+for both engines: its variables, ground subterms and called predicate
+names are numbered out, and each body atom becomes an equality, a "rows"
+atom (read from the rows of a predicate held as a relation) or a subgoal
+call.  One planner, `_plan`, orders both engines' bodies, so that rows
+and bound calls bind variables before a call enumerates them.  Rules of one shape share a plan, emitted by one
 `_source` as Python source of nested loops and compiled once per
 process; a run binds the code to the resources `_resources` collects and
 to its constants.
 
 * least_model_seminaive: delta-driven bottom-up evaluation for first-order
-  programs; every predicate is read as rows, and relations hold tuples of
-  the model's own `Ind`s, so the model is a copy of the fixpoint's sets.
-  Each rule shape is planned once per delta focus.  Probes go through one
-  hash index per (predicate, bound positions); a probe that binds every
-  position tests the relation itself.  Only live indexes, those a
-  recurring plan probes, are kept and extended with each round's new
-  tuples.  A plan recurs if its focus predicate heads a rule; a plan
-  focused on a rows predicate runs in round 1 only.
+  programs; every predicate is read as rows, its fact rows loaded in
+  round 0, and relations hold tuples of the model's own `Ind`s, so the
+  model is a copy of the fixpoint's sets.  Each rule shape is planned
+  once per delta focus.  Probes go through one hash index per
+  (predicate, bound positions); a probe that binds every position tests
+  the relation itself.  Only live indexes, those a recurring plan
+  probes, are kept and extended with each round's new tuples.  A plan
+  recurs if its focus predicate heads a rule; a plan focused on a rows
+  predicate runs in round 1 only.
 * DemandEngine: demand-driven tabled evaluation for higher-order
   programs.  A ground goal is memoized under (pred name, arg, ...), a
   closure argument hash-consed into an int id; a rows atom is looked up
-  in indexed rows, never tabled.  A new subgoal runs when first called,
-  nested in its caller up to a fixed depth; only readers of a false entry
-  that may still flip are recorded, and re-enqueued when it flips.  Trace
-  lines, rendered without recursion, go to stderr.
+  in indexed rows, never tabled, and a ruled predicate's rows are one
+  more body.  A new subgoal runs when first called, nested in its caller
+  up to a fixed depth; only readers of a false entry that may still flip
+  are recorded, and re-enqueued when it flips.  Trace lines, rendered
+  without recursion, go to stderr.
 * decide: the accept/reject entry point.  It and the CLI's crosscheck go
   through `_run_engine`, the one place that picks an engine by name.
 """
@@ -48,8 +50,7 @@ from operator import itemgetter
 
 from .core import (App, BudgetExhaustedError, Const, Eq, HodlError, OMICRON,
                    Pred, Var, app_spine, expr_vars, render_type, type_order)
-from .encode import (INPUT_TYPE, encode_input, input_rows, merge,
-                     merged_constants)
+from .encode import INPUT_TYPE, encode_input, merge, merged_constants
 from .semantics import TRUE, Bool, FixpointResult, Ind, Rel, least_model_naive
 
 
@@ -72,22 +73,6 @@ class EngineConfig:
 
 # ---------------------------------------------------------------------------
 # Lowering, planning and emitted code, for both engines
-
-def _fact_row(cl):
-    """The constant names of a fact, a clause whose body only equates each
-    formal once with a constant (as `p a b.` is lowered), in formal order;
-    else None."""
-    row = {}
-    for b in cl.body:
-        if not (isinstance(b, Eq) and isinstance(b.left, Var)
-                and isinstance(b.right, Const)) or b.left.name in row:
-            return None
-        row[b.left.name] = b.right.name
-    formals = [f.name for f in cl.formals]
-    if len(row) == len(formals) and row.keys() == set(formals):
-        return tuple(row[f] for f in formals)
-    return None
-
 
 def _shape(cl, rows):
     """A rule clause with its names taken out, for both engines: (key, atom
@@ -377,25 +362,27 @@ def _plan(atoms, slots, focus=None):
 
 class _Prepared:
     """A program lowered once, for every decision made on it: `rules` by
-    head, the `rows` of each rows predicate (a repeated fact is a repeated
-    row) and the `universe`, in `Ind`s, and on first use the seminaive half
-    and each demand predicate's lowered rules.  Copies of the program's
-    lists and signatures tell when it changed; it is not held itself."""
+    head; the fact `rows` of each predicate of order at most 1 (a repeated
+    fact is a repeated row) and the `universe`, in `Ind`s; the rows
+    predicates, those of them with no rule (`extensional`); and on first
+    use the seminaive half and each demand predicate's lowered rules.
+    Copies of the program's lists, fact rows and signatures tell when it
+    changed; it is not held itself."""
 
     def __init__(self, prog):
         self.clauses, self.constants, self.signatures = (
             list(prog.clauses), list(prog.constants), dict(prog.signatures))
-        lowered = [(cl, _fact_row(cl)) for cl in prog.clauses]
-        ruled = {cl.head for cl, row in lowered if row is None}
-        self.rows = {p: [] for p in ("input", *self.signatures)
-                     if p not in ruled and type_order(self.signatures.get(
-                         p, INPUT_TYPE)) <= 1}  # pred -> [row, ...]
+        self.facts = {p: list(rows) for p, rows in prog.facts.items()}
         self.rules = {}  # pred -> [Clause, ...]
-        for cl, row in lowered:
-            if cl.head in ruled:
-                self.rules.setdefault(cl.head, []).append(cl)
-            else:
-                self.rows.setdefault(cl.head, []).append(tuple(map(Ind, row)))
+        for cl in prog.clauses:
+            self.rules.setdefault(cl.head, []).append(cl)
+        self.rows = {p: [] for p in ("input", *self.signatures)
+                     if type_order(self.signatures.get(
+                         p, INPUT_TYPE)) <= 1}  # pred -> [row, ...]
+        for p, rows in self.facts.items():
+            self.rows.setdefault(p, []).extend(
+                tuple(map(Ind, row)) for row in rows)
+        self.extensional = self.rows.keys() - self.rules.keys()
         self.universe = list(map(Ind, self.constants))
         self.demand = {}  # pred -> [body, ...]
         self.plans = None
@@ -415,17 +402,17 @@ class _Prepared:
         if rules is None:
             rules = self.demand[pred] = []
             for cl in self.rules.get(pred, ()):
-                shape, preds, consts = _shape(cl, self.rows)
+                shape, preds, consts = _shape(cl, self.extensional)
                 rules.append((preds, consts, *_demand_body(shape)))
         return rules
 
     def seminaive(self):
         """Self, with the seminaive half made: plans (head, preds, consts,
-        steps, make) with no focus (`seeds`) and by focus predicate
-        (`plans`), with the heads each focus's plans emit (`heads`); and
-        the (pred, key positions) that a plan whose focus heads a rule
-        probes (`live`).  Any other plan runs in round 1 only, the one
-        round its focus has a delta."""
+        steps, make) with no focus, such as `p X :- (X = a).` (`seeds`),
+        and by focus predicate (`plans`), with the heads each focus's
+        plans emit (`heads`); and the (pred, key positions) that a plan
+        whose focus heads a rule probes (`live`).  Any other plan runs in
+        round 1 only, the one round its focus has a delta."""
         if self.plans is not None:
             return self
         for p, ty in self.signatures.items():
@@ -456,12 +443,13 @@ _PREPARED = {}  # id(prog) -> (weak reference to prog, its _Prepared)
 
 def _prepare(prog):
     """prog's `_Prepared`, made on its first decision and kept while prog
-    lives and its clause list, constants and signatures stay the same
-    (a clause is immutable, so the same clause is the same rule)."""
+    lives and its clause list, fact rows, constants and signatures stay
+    the same (a clause is immutable, so the same clause is the same
+    rule)."""
     ref, prep = _PREPARED.get(id(prog), (None, None))
     if ref is not None and ref() is prog and (
-            prep.clauses, prep.constants, prep.signatures) == (
-            prog.clauses, prog.constants, prog.signatures):
+            prep.clauses, prep.facts, prep.constants, prep.signatures) == (
+            prog.clauses, prog.facts, prog.constants, prog.signatures):
         return prep
     key, prep = id(prog), _Prepared(prog)
     ref = weakref.ref(prog, lambda _: _PREPARED.pop(key, None))
@@ -638,8 +626,8 @@ class DemandEngine:
     closures have equal ids however deep they are.  A goal's table key is
     (pred name, arg, ...); a closure-headed goal flattens through the id
     table.  A goal of a rows predicate reads its rows; a ruled predicate's
-    bodies (`_demand_body`) are bound to this engine on its first call in a
-    `solve`.  Entries start false and may flip to true exactly once.  A new
+    bodies (`_demand_body`), led by its rows if it has any, are bound to
+    this engine on its first call in a `solve`.  Entries start false and may flip to true exactly once.  A new
     subgoal runs at once, nested in its caller, or is queued past
     `_EAGER_DEPTH` nested runs.  Readers of an open entry, a false one that
     may still flip, are recorded and re-enqueued when it flips; a goal
@@ -795,10 +783,11 @@ class DemandEngine:
             _extend(idx, positions, self.rels[pred])
         return idx
 
-    def _input_row(self, key, *args):
-        return args in self.rels["input"]
+    def _read_rows(self, key, *args):
+        return args in self.rels[key[0]]
 
     def _eval_goal(self, key):
+        # no closure here: a cell variable slows every call on CPython
         pred = key[0]
         if pred not in self.prep.rules:
             return key[1:] in self.rels.get(pred, ())
@@ -806,8 +795,8 @@ class DemandEngine:
         if rules is None:
             rules = self.bodies[pred] = list(itertools.starmap(
                 self._bind, self.prep.bodies(pred)))
-            if pred in self.rels:  # a ruled input: its rows are one more body
-                rules.insert(0, self._input_row)
+            if self.rels.get(pred):  # a ruled predicate's rows: one more body
+                rules.insert(0, self._read_rows)
         for body in rules:
             if body(key, *key[1:]):
                 return True
@@ -826,13 +815,13 @@ def _run_engine(prog, w, cfg):
         raise EngineError("accept has type %s, not o" % render_type(ty))
     inputs = None
     if w is not None:
-        rows = input_rows(w)
+        rows = encode_input(w)
         inputs = rows, merged_constants(prog, rows)
     if cfg.engine == "seminaive":
         total, rounds = _seminaive_fixpoint(prog, cfg, inputs)
         return () in total.get("accept", ()), rounds, "rounds"
     if cfg.engine == "naive":
-        merged = prog if w is None else merge(prog, encode_input(w))
+        merged = prog if w is None else merge(prog, rows)
         res = least_model_naive(merged, cfg.domain_cap, cfg.step_budget)
         return (res.interpretation.get("accept") == TRUE, res.iterations,
                 "T_P applications")

@@ -126,16 +126,21 @@ def herbrand_universe(prog):
     return list(prog.constants)
 
 
-def predicted_domain_size(ty, n_plus_c, _clamp=4096):
-    """Upper bound 2^|S| on the number of monotone elements (clamped so the
-    figure stays printable in diagnostics)."""
+_PREDICTED_PRODUCT_CAP = 4096
+
+
+def predicted_domain_size(ty, n_plus_c):
+    """Upper bound 2^|S| on the number of monotone elements (|S| clamped
+    at _PREDICTED_PRODUCT_CAP, so the figure stays printable in
+    diagnostics)."""
     if ty == IOTA:
         return n_plus_c
     if ty == OMICRON:
         return 2
     size = 1
     for a in arg_types(ty):
-        size = min(size * predicted_domain_size(a, n_plus_c), _clamp)
+        size = min(size * predicted_domain_size(a, n_plus_c),
+                   _PREDICTED_PRODUCT_CAP)
     return 2 ** size
 
 
@@ -259,21 +264,23 @@ def _clause_extra_vars(cl):
 
 
 def tp_step(prog, interp, domains):
-    """One application of the immediate consequence operator."""
+    """One application of the immediate consequence operator: T_P(I)(p) is
+    p's fact rows and what p's clauses derive under I."""
     universe = herbrand_universe(prog)
     iota_elems = [Ind(c) for c in universe]
     out = {}
     for p, ty in prog.signatures.items():
         args = arg_types(ty)
         clauses = prog.clauses_for(p)
+        tuples = {tuple(map(Ind, row)) for row in prog.facts.get(p, ())}
         if not args:
-            out[p] = Bool(any(_derivable(cl, (), interp, iota_elems)
-                              for cl in clauses))
+            out[p] = Bool(bool(tuples) or any(
+                _derivable(cl, (), interp, iota_elems) for cl in clauses))
             continue
         arg_domains = [domains[a] for a in args]
-        tuples = set()
         for tup in itertools.product(*(d.elements for d in arg_domains)):
-            if any(_derivable(cl, tup, interp, iota_elems) for cl in clauses):
+            if tup not in tuples and any(
+                    _derivable(cl, tup, interp, iota_elems) for cl in clauses):
                 tuples.add(tup)
         rel = Rel(ty, frozenset(tuples))
         _assert_upward_closed(rel, arg_domains)

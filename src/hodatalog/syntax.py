@@ -249,19 +249,28 @@ def parse_program(text):
 # ---------------------------------------------------------------------------
 # Printing
 
-def render_expr(e, outer=True):
-    if isinstance(e, (Const, Pred, Var)):
-        return e.name
-    if isinstance(e, Eq):
-        return "(%s = %s)" % (render_expr(e.left), render_expr(e.right))
-    if isinstance(e, App):
-        head, args = app_spine(e)
-        parts = [render_expr(head)] + [
-            render_expr(a) if not isinstance(a, App) else "(" + render_expr(a) + ")"
-            for a in args]
-        s = " ".join(parts)
-        return s if outer else "(" + s + ")"
-    raise TypeError("cannot render %r" % (e,))
+def render_expr(e):
+    """The text of e, an argument that is an application in parentheses.
+    It is written left to right from an explicit stack of the expressions
+    and texts still to write, since a term can nest deeper than Python
+    recurses."""
+    out, todo = [], [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, (Const, Pred, Var)):
+            out.append(x.name)
+        elif isinstance(x, Eq):
+            todo += [")", x.right, " = ", x.left, "("]
+        elif isinstance(x, App):
+            head, args = app_spine(x)
+            for a in reversed(args):
+                todo += [")", a, " ("] if isinstance(a, App) else [a, " "]
+            todo.append(head)
+        else:
+            raise TypeError("cannot render %s" % type(x).__name__)
+    return "".join(out)
 
 
 def _render_body_atom(e):

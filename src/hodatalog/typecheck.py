@@ -311,19 +311,30 @@ def classify_order_from_signatures(signatures):
 def desugar(src, report):
     """Lower a SourceProgram, typed by `report`, to a core Program.
 
-    Head individual constants and repeated head variables become fresh
-    formals equated in the body (paper-style: `p a.` turns into
-    `p X :- (X = a).`); identifiers with predicate type become Pred nodes.
-    Raises TypeCheckError on E101 clashes; Wadge violations are reported
-    through infer_types and left to the caller.
+    A ground fact, a clause with no body whose head arguments are all
+    individual constants, becomes a row of their names in `facts`
+    (`p a b.` is the row ("a", "b") of p).  In any other clause, head
+    individual constants and repeated head variables become fresh formals
+    equated in the body (paper-style: `p a X.` turns into
+    `p Y X :- (Y = a).`); identifiers with predicate type become Pred
+    nodes.  Raises TypeCheckError on E101 clashes; Wadge violations are
+    reported through infer_types and left to the caller.
     """
     hard = [d for d in report.violations if d.code == "E101"]
     if hard:
         raise TypeCheckError(hard)
 
     pred_names = set(report.signatures)
-    clauses, consts = [], {}  # consts: individuals in first-occurrence order
+    clauses, facts = [], {}
+    consts = {}  # individuals in first-occurrence order
     for cl, var_tys in zip(src.clauses, report.clause_var_types):
+        if not cl.body and all(
+                isinstance(a, (Const, Pred)) and a.name not in pred_names
+                for a in cl.head_args):
+            row = tuple(a.name for a in cl.head_args)
+            facts.setdefault(cl.head, []).append(row)
+            consts.update(dict.fromkeys(row))
+            continue
         fresh = ("_H%d" % i for i in itertools.count(1))
         sig_args = core.arg_types(report.signatures[cl.head])
         formals, equations, seen = [], [], set()
@@ -348,7 +359,7 @@ def desugar(src, report):
                 *[_lower(b, pred_names, var_tys, consts) for b in cl.body])
         clauses.append(Clause(cl.head, tuple(formals), body))
     return Program(dict(report.signatures), clauses,
-                   list(consts) or [core.DESIGNATED_CONSTANT])
+                   list(consts) or [core.DESIGNATED_CONSTANT], facts)
 
 
 def _lower(e, pred_names, var_tys, consts):

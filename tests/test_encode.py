@@ -4,24 +4,17 @@ from hodatalog.encode import EncodingError, INPUT_TYPE, encode_input, merge
 from hodatalog.typecheck import analyze
 
 
-def fact_args(cl):
-    return [b.right.name for b in cl.body]
-
-
 def test_empty_string():
-    facts = encode_input("")
-    assert len(facts) == 1
-    assert fact_args(facts[0]) == ["0", "empty", "end"]
+    assert encode_input("") == [("0", "empty", "end")]
 
 
 def test_single_character():
-    assert fact_args(encode_input("a")[0]) == ["0", "a", "end"]
+    assert encode_input("a") == [("0", "a", "end")]
 
 
 def test_chain_shape():
-    facts = encode_input("abba")
-    assert [fact_args(f) for f in facts] == [
-        ["0", "a", "1"], ["1", "b", "2"], ["2", "b", "3"], ["3", "a", "end"]]
+    assert encode_input("abba") == [
+        ("0", "a", "1"), ("1", "b", "2"), ("2", "b", "3"), ("3", "a", "end")]
 
 
 def test_alphabet_enforced():
@@ -35,6 +28,17 @@ def test_merge_adds_signature_and_constants():
     assert merged.signatures["input"] == INPUT_TYPE
     for c in ("0", "1", "a", "b", "end"):
         assert c in merged.constants
+
+
+def test_merge_appends_to_the_input_facts():
+    # the input rows follow the program's own input facts, and the
+    # program itself keeps its facts
+    prog, _ = analyze("input 0 b end. accept :- (input 0 a end).")
+    merged = merge(prog, encode_input("a"))
+    assert merged.facts["input"] == [("0", "b", "end"), ("0", "a", "end")]
+    assert prog.facts == {"input": [("0", "b", "end")]}
+    assert merged.clauses == prog.clauses
+    assert merged.clauses is not prog.clauses
 
 
 def test_merge_drops_designated_constant():

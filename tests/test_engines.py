@@ -303,8 +303,8 @@ def test_demand_compiles_each_clause_shape_once(monkeypatch):
 
 
 def _count_lowering(monkeypatch):
-    """Counts of the calls to `_shape` and `_fact_row` from now on."""
-    calls = {"_shape": 0, "_fact_row": 0}
+    """Counts of the calls to `_shape` from now on."""
+    calls = {"_shape": 0}
     for name in calls:
         def counting(*args, _f=getattr(engines, name), _name=name):
             calls[_name] += 1
@@ -335,22 +335,22 @@ def test_second_decision_lowers_nothing(monkeypatch):
     assert least_model_seminaive(prog).iterations == 3
     assert not eng.solve(ap(P("path"), C("c"), C("a")))  # a new solve
     assert DemandEngine(prog).solve(ap(P("path"), C("b"), C("c")))
-    assert calls == {"_shape": 0, "_fact_row": 0}
+    assert calls == {"_shape": 0}
 
 
 def test_changed_program_gets_its_new_model():
-    prog, _ = analyze("p a. q X :- (p X).")
-    more, _ = analyze("p a. p b. q X :- (p X).")
+    prog, _ = analyze("p a. r b. q X :- (p X).")
     assert least_model_seminaive(prog).interpretation["q"].tuples == {
         (Ind("a"),)}
     assert not DemandEngine(prog).solve(ap(P("q"), C("b")))
-    prog.clauses.append(more.clauses[1])  # the fact p b, in place
-    prog.constants.append("b")
+    # the fact p b, added in place: b is a constant already, so only the
+    # fact list tells that the program changed
+    prog.facts["p"].append(("b",))
     semi = least_model_seminaive(prog).interpretation
     assert semi == least_model_naive(prog).interpretation
     assert semi["q"].tuples == {(Ind("a"),), (Ind("b"),)}
     assert DemandEngine(prog).solve(ap(P("q"), C("b")))
-    prog.clauses = prog.clauses[:1]  # q's rule gone
+    prog.clauses = []  # q's rule gone
     assert least_model_seminaive(prog).interpretation["q"].tuples == set()
     assert not DemandEngine(prog).solve(ap(P("q"), C("a")))
 
@@ -450,21 +450,20 @@ def test_seminaive_budget_counts_every_fact_row():
 
 
 @pytest.mark.parametrize("text, rows", [
-    # each program with the row `_fact_row` makes of each of its clauses,
-    # None for a clause that both engines run as a rule
-    ("p a. p a. p b.", [("a",), ("a",), ("b",)]),
-    ("z. e a b. z :- (e b a).", [(), ("a", "b"), None]),
-    ("e X X. u a.", [None, ("a",)]),                 # repeated head variable
-    ("e X Y :- (X = Y). u a.", [None, ("a",)]),      # variables equated
-    ("u X :- (a = X). u b.", [None, ("b",)]),        # constant on the left
-    ("u X :- (X = a), (X = b). u c.", [None, ("c",)]),  # a formal twice
+    # each program with its fact rows; every other clause is a rule
+    ("p a. p a. p b.", {"p": [("a",), ("a",), ("b",)]}),
+    ("z. e a b. z :- (e b a).", {"z": [()], "e": [("a", "b")]}),
+    ("e X X. u a.", {"u": [("a",)]}),                # repeated head variable
+    ("e X Y :- (X = Y). u a.", {"u": [("a",)]}),     # variables equated
+    ("u X :- (a = X). u b.", {"u": [("b",)]}),       # constant on the left
+    ("u X :- (X = a), (X = b). u c.", {"u": [("c",)]}),  # a formal twice
     ("e a b. e b c. e X Y :- (e Y X). u X :- (e X c).",  # facts and rules
-     [("a", "b"), ("b", "c"), None, None]),
+     {"e": [("a", "b"), ("b", "c")]}),
 ])
 def test_fact_rows_agree_with_naive(text, rows):
     prog, report = analyze(text)
     assert report.ok, report.violations
-    assert [engines._fact_row(cl) for cl in prog.clauses] == rows
+    assert prog.facts == rows
     naive = least_model_naive(prog)
     semi = least_model_seminaive(prog)
     assert semi.interpretation == naive.interpretation

@@ -141,6 +141,13 @@ def test_deep_parentheses_parse_without_recursion():
     assert parse_program("#pred p : %s.\n" % ty).declared()["p"] == Arrow(IOTA, OMICRON)
 
 
+def test_deep_term_prints_without_recursion():
+    # texts are compared, not terms: comparing two deep App terms recurses
+    depth = 3000
+    text = "p X :- (q %sa%s).\n" % ("(f " * depth, ")" * depth)
+    assert print_source(parse_program(text)) == text
+
+
 def test_clause_positions():
     src = parse_program("% head\n  p a.\n\n#pred q : o.\nq :- (p b), \n p c.  r.")
     assert [(cl.line, cl.col) for cl in src.clauses] == [(2, 3), (5, 1), (6, 8)]
