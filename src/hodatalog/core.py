@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 
 class HodlError(Exception):
@@ -192,14 +193,31 @@ class Clause:
 DESIGNATED_CONSTANT = "u0"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """Rules as clauses, and ground facts as rows of constant names:
-    `facts` is {pred: [row, ...]}, `p a b.` being the row ("a", "b")."""
+    `facts` is {pred: (row, ...)}, `p a b.` being the row ("a", "b").
+
+    A program never changes, so what is prepared from it stays right:
+    clauses, constants and each predicate's rows are tuples, and
+    signatures and facts read-only mappings.  A changed program is a new
+    one (`dataclasses.replace`, `encode.merge`)."""
     signatures: dict
-    clauses: list
-    constants: list
+    clauses: tuple
+    constants: tuple
     facts: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        put = object.__setattr__
+        put(self, "signatures", MappingProxyType(dict(self.signatures)))
+        put(self, "clauses", tuple(self.clauses))
+        put(self, "constants", tuple(self.constants))
+        put(self, "facts", MappingProxyType(
+            {p: tuple(rows) for p, rows in self.facts.items()}))
+
+    def __reduce__(self):  # a read-only mapping does not pickle
+        return Program, (dict(self.signatures), self.clauses, self.constants,
+                         dict(self.facts))
 
     def clauses_for(self, pred):
         return [cl for cl in self.clauses if cl.head == pred]

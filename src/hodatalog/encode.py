@@ -3,6 +3,8 @@ relation input/3, added to a program's facts."""
 
 from __future__ import annotations
 
+import itertools
+
 from .core import DESIGNATED_CONSTANT, HodlError, IOTA, Program, arrow
 
 ALPHABET = ("a", "b")
@@ -29,30 +31,31 @@ def encode_input(w):
             for i, ch in enumerate(w)]
 
 
+def new_constants(signatures, rows, known):
+    """The constants of input/3 rows not in `known`, in first-occurrence
+    order.  Raises EncodingError if `signatures` declare input at another
+    type."""
+    declared = signatures.get("input")
+    if declared is not None and declared != INPUT_TYPE:
+        raise EncodingError("program declares input at type %r" % declared)
+    return [c for c in dict.fromkeys(itertools.chain.from_iterable(rows))
+            if c not in known]
+
+
 def merged_constants(prog, rows):
     """The constants of prog merged with input/3 rows: prog's own, then
     each new one in first-occurrence order.  Raises EncodingError if prog
     declares input at another type."""
-    declared = prog.signatures.get("input")
-    if declared is not None and declared != INPUT_TYPE:
-        raise EncodingError("program declares input at type %r" % declared)
     constants = list(prog.constants)
     if constants == [DESIGNATED_CONSTANT] and not (prog.clauses or prog.facts):
         constants = []
-    seen = set(constants)
-    for row in rows:
-        for c in row:
-            if c not in seen:
-                seen.add(c)
-                constants.append(c)
-    return constants
+    return constants + new_constants(prog.signatures, rows, set(constants))
 
 
 def merge(prog, rows):
-    """Union a program with input/3 rows: they follow its own input facts."""
-    signatures = dict(prog.signatures)
-    signatures["input"] = INPUT_TYPE
-    facts = dict(prog.facts)
-    facts["input"] = [*facts.get("input", ()), *rows]
-    return Program(signatures, list(prog.clauses),
-                   merged_constants(prog, rows), facts)
+    """Union a program with input/3 rows, a new program: they follow its
+    own input facts."""
+    return Program({**prog.signatures, "input": INPUT_TYPE}, prog.clauses,
+                   merged_constants(prog, rows),
+                   {**prog.facts,
+                    "input": (*prog.facts.get("input", ()), *rows)})

@@ -1,39 +1,45 @@
 """Production evaluation engines.
 
-A program is prepared once, on its first decision (`_prepare`), and kept
-while it lives and its clauses and facts stay the same.  Both fast
-engines hold an individual as its interned `Ind`.  A program's facts are
-rows of constant names from the front end on; they are made once into
-rows of `Ind`s, and a decision adds only its input rows
-(`_Prepared.with_input`).  A predicate of order at most 1 with no rule,
-`input` included, is a "rows" predicate.  One `_shape` lowers each rule
-for both engines: its variables, ground subterms and called predicate
-names are numbered out, and each body atom becomes an equality, a "rows"
-atom (read from the rows of a predicate held as a relation) or a subgoal
-call.  One planner, `_plan`, orders both engines' bodies, so that rows
-and bound calls bind variables before a call enumerates them.  Rules of one shape share a plan, emitted by one
+A program never changes, so it is prepared once, on its first decision
+(`_prepare`), and kept while it lives.  Both fast engines hold an
+individual as its interned `Ind`.  A program's facts are rows of
+constant names from the front end on; they are made once into rows of
+`Ind`s, and a decision adds only its input rows and the constants they
+bring (`_Prepared.with_input`).  A predicate of order at most 1 with no
+rule, `input` included, is a "rows" predicate.  One `_shape` lowers each
+rule for both engines: its variables, ground subterms and called
+predicate names are numbered out, and each body atom becomes an
+equality, a "rows" atom (read from the rows of a predicate held as a
+relation) or a subgoal call.  One planner, `_plan`, orders both engines'
+bodies, so that rows and bound calls bind variables before a call
+enumerates them.  Rules of one shape share a plan, emitted by one
 `_source` as Python source of nested loops and compiled once per
 process; a run binds the code to the resources `_resources` collects and
 to its constants.
 
 * least_model_seminaive: delta-driven bottom-up evaluation for first-order
   programs; every predicate is read as rows, its fact rows loaded in
-  round 0, and relations hold tuples of the model's own `Ind`s, so the
-  model is a copy of the fixpoint's sets.  Each rule shape is planned
-  once per delta focus.  Probes go through one hash index per
-  (predicate, bound positions); a probe that binds every position tests
-  the relation itself.  Only live indexes, those a recurring plan
-  probes, are kept and extended with each round's new tuples.  A plan
-  recurs if its focus predicate heads a rule; a plan focused on a rows
-  predicate runs in round 1 only.
+  round 0, and relations hold tuples of the model's own `Ind`s.  The
+  least model with no input rows is computed once per program and kept
+  as frozensets, which the returned model shares.  A decision with input
+  starts from it, the input rows its first delta, unless a plan
+  enumerates the universe and the input brings new constants; the
+  relations and indexes of predicates that do not read `input` are
+  shared with it.  Each rule shape is planned once per delta focus.
+  Probes go through one hash index per (predicate, bound positions); a
+  probe that binds every position tests the relation itself.  Only live
+  indexes, those a recurring plan probes, are kept and extended with each
+  round's new tuples.  A plan recurs if its focus predicate heads a rule;
+  a plan focused on a rows predicate runs in round 1 only.
 * DemandEngine: demand-driven tabled evaluation for higher-order
   programs.  A ground goal is memoized under (pred name, arg, ...), a
   closure argument hash-consed into an int id; a rows atom is looked up
   in indexed rows, never tabled, and a ruled predicate's rows are one
-  more body.  A new subgoal runs when first called, nested in its caller
-  up to a fixed depth; only readers of a false entry that may still flip
-  are recorded, and re-enqueued when it flips.  Trace lines, rendered
-  without recursion, go to stderr.
+  more body.  The rows and indexes of every predicate but `input` are the
+  prepared program's.  A new subgoal runs when first called, nested in
+  its caller up to a fixed depth; only readers of a false entry that may
+  still flip are recorded, and re-enqueued when it flips.  Trace lines,
+  rendered without recursion, go to stderr.
 * decide: the accept/reject entry point.  It and the CLI's crosscheck go
   through `_run_engine`, the one place that picks an engine by name.
 """
@@ -50,7 +56,7 @@ from operator import itemgetter
 
 from .core import (App, BudgetExhaustedError, Const, Eq, HodlError, OMICRON,
                    Pred, Var, app_spine, expr_vars, render_type, type_order)
-from .encode import INPUT_TYPE, encode_input, merge, merged_constants
+from .encode import INPUT_TYPE, encode_input, merge, new_constants
 from .semantics import TRUE, Bool, FixpointResult, Ind, Rel, least_model_naive
 
 
@@ -65,7 +71,10 @@ class EngineConfig:
     # step is a productive T_P application for naive, a fact row or derived
     # head tuple (duplicates included) for seminaive and a goal run for
     # demand.  The step counts `_run_engine` reports use the same units,
-    # except that seminaive reports rounds.
+    # except that seminaive reports rounds.  A seminaive decision counts
+    # the steps and rounds of the program's no-input model, made once and
+    # kept, as its own, so a warm decision has the same budget as a cold
+    # one and reports no fewer rounds than a run from the empty model.
     step_budget: int = 10 ** 7
     domain_cap: int = 1 << 16  # naive only
     trace: bool = False  # demand only
@@ -362,39 +371,44 @@ def _plan(atoms, slots, focus=None):
 
 class _Prepared:
     """A program lowered once, for every decision made on it: `rules` by
-    head; the fact `rows` of each predicate of order at most 1 (a repeated
-    fact is a repeated row) and the `universe`, in `Ind`s; the rows
-    predicates, those of them with no rule (`extensional`); and on first
-    use the seminaive half and each demand predicate's lowered rules.
-    Copies of the program's lists, fact rows and signatures tell when it
-    changed; it is not held itself."""
+    head; the rows predicates, those of order at most 1 (`input` included),
+    their fact rows in `rels` ({pred: {row of `Ind`s: None}}, a repeated
+    fact one row but `fact_rows` steps) and those of them with no rule
+    (`extensional`); the `universe` of `Ind`s and the constants' `names`;
+    the demand `indexes` of those rows; and on first use the seminaive
+    half, the no-input model and each demand predicate's lowered rules.
+    A program never changes, so none of this goes stale; the program is
+    not held itself."""
 
     def __init__(self, prog):
-        self.clauses, self.constants, self.signatures = (
-            list(prog.clauses), list(prog.constants), dict(prog.signatures))
-        self.facts = {p: list(rows) for p, rows in prog.facts.items()}
+        self.signatures = prog.signatures
         self.rules = {}  # pred -> [Clause, ...]
         for cl in prog.clauses:
             self.rules.setdefault(cl.head, []).append(cl)
-        self.rows = {p: [] for p in ("input", *self.signatures)
-                     if type_order(self.signatures.get(
-                         p, INPUT_TYPE)) <= 1}  # pred -> [row, ...]
-        for p, rows in self.facts.items():
-            self.rows.setdefault(p, []).extend(
-                tuple(map(Ind, row)) for row in rows)
-        self.extensional = self.rows.keys() - self.rules.keys()
-        self.universe = list(map(Ind, self.constants))
+        self.rels = {p: {} for p in ("input", *self.signatures)
+                     if type_order(self.signatures.get(p, INPUT_TYPE)) <= 1}
+        for p, rows in prog.facts.items():
+            self.rels[p] = dict.fromkeys(tuple(map(Ind, row)) for row in rows)
+        self.fact_rows = sum(map(len, prog.facts.values()))
+        self.extensional = self.rels.keys() - self.rules.keys()
+        self.universe = list(map(Ind, prog.constants))
+        self.names = frozenset(prog.constants)
+        self.indexes = {}  # (pred, key positions) -> {key: [row, ...]}
         self.demand = {}  # pred -> [body, ...]
-        self.plans = None
+        self.plans = self.model = None
 
-    def with_input(self, inputs):
-        """The universe and rows of a decision with `inputs`: None, or the
-        input/3 rows added to the program and the merged constants."""
-        if inputs is None:
-            return self.universe, self.rows
-        rows, names = inputs
-        return list(map(Ind, names)), {**self.rows, "input": self.rows.get(
-            "input", []) + [tuple(map(Ind, row)) for row in rows]}
+    def with_input(self, rows):
+        """The universe and rows of a decision with the input/3 `rows`
+        (names; None: none): the program's own, with the input's new
+        constants appended in first-occurrence order to a copy of the
+        universe (the program's own list if there are none), and its rows
+        added to a copy of `input`'s alone."""
+        if rows is None:
+            return self.universe, self.rels
+        new = new_constants(self.signatures, rows, self.names)
+        return (self.universe + list(map(Ind, new)) if new else self.universe,
+                {**self.rels, "input": {**self.rels["input"], **dict.fromkeys(
+                    tuple(map(Ind, row)) for row in rows)}})
 
     def bodies(self, pred):
         """(preds, consts, steps, make) of pred's rules, lowered for demand."""
@@ -410,9 +424,12 @@ class _Prepared:
         """Self, with the seminaive half made: plans (head, preds, consts,
         steps, make) with no focus, such as `p X :- (X = a).` (`seeds`),
         and by focus predicate (`plans`), with the heads each focus's
-        plans emit (`heads`); and the (pred, key positions) that a plan
-        whose focus heads a rule probes (`live`).  Any other plan runs in
-        round 1 only, the one round its focus has a delta."""
+        plans emit (`heads`); the (pred, key positions) that a plan whose
+        focus heads a rule probes (`live`); whether any plan enumerates
+        the universe (`enumerates`); and, for each predicate that does not
+        read `input`, even through others, the indexes that decisions
+        share (`shared`).  Any other plan runs in round 1 only, the one
+        round its focus has a delta."""
         if self.plans is not None:
             return self
         for p, ty in self.signatures.items():
@@ -420,10 +437,11 @@ class _Prepared:
                 raise EngineError("seminaive engine requires a first-order "
                                   "program (predicate %s has order %d)"
                                   % (p, type_order(ty)))
-        seeds, plans, heads = [], {}, {}
+        seeds, plans, heads, reads = [], {}, {}, {}
         for head, rules in self.rules.items():
             for cl in rules:
                 key, preds, consts = _shape(cl, self.signatures)
+                reads.setdefault(head, set()).update(preds)
                 for focus, steps, make in _rule_plans(key):
                     plan = (head, preds, consts, steps, make)
                     if focus is None:
@@ -434,8 +452,32 @@ class _Prepared:
         self.live = {(preds[s[1]], s[2]) for p, ps in plans.items()
                      if p in self.rules for _, preds, _, steps, _ in ps
                      for s in steps if s[0] == "probe"}
+        self.enumerates = any(s[0] == "enum" for ps in (seeds, *plans.values())
+                              for *_, steps, _ in ps for s in steps)
+        dependent, grown = {"input"}, True
+        while grown:
+            grown = {h for h, ps in reads.items()
+                     if h not in dependent and not ps.isdisjoint(dependent)}
+            dependent |= grown
+        self.shared = {p: {} for p in self.rels.keys() | self.rules.keys()
+                       if p not in dependent}  # pred -> {positions: index}
         self.seeds, self.heads, self.plans = seeds, heads, plans
         return self
+
+    def no_input(self, budget):
+        """(relations, steps, rounds) of the program's least model with no
+        input rows, its relations frozensets: made on first use and kept.
+        Its steps count against every later `budget` too."""
+        if self.model is None:
+            joins = _Joins(self.universe, budget, self.live, {}, {})
+            joins.load(self.rels, self.fact_rows)
+            rounds = _rounds(self, joins, self.seeds)
+            total = joins.total  # each set dropped once it is copied
+            self.model = ({p: frozenset(total.pop(p)) for p in list(total)},
+                          next(joins.tick) - 1, rounds)
+        if self.model[1] > budget:
+            raise BudgetExhaustedError("unknown: budget")
+        return self.model
 
 
 _PREPARED = {}  # id(prog) -> (weak reference to prog, its _Prepared)
@@ -443,13 +485,9 @@ _PREPARED = {}  # id(prog) -> (weak reference to prog, its _Prepared)
 
 def _prepare(prog):
     """prog's `_Prepared`, made on its first decision and kept while prog
-    lives and its clause list, fact rows, constants and signatures stay
-    the same (a clause is immutable, so the same clause is the same
-    rule)."""
+    lives."""
     ref, prep = _PREPARED.get(id(prog), (None, None))
-    if ref is not None and ref() is prog and (
-            prep.clauses, prep.facts, prep.constants, prep.signatures) == (
-            prog.clauses, prog.facts, prog.constants, prog.signatures):
+    if ref is not None and ref() is prog:
         return prep
     key, prep = id(prog), _Prepared(prog)
     ref = weakref.ref(prog, lambda _: _PREPARED.pop(key, None))
@@ -491,23 +529,32 @@ class _Joins:
     collects the head tuples emitted during a round.  An index maps the
     value at one key position, or the tuple at several, to the rows having
     it.  Only `live` indexes are kept and extended; any other is built for
-    the round-1 plan that probes it.
+    the round-1 plan that probes it.  A predicate in `shared` never
+    changes in this run: its relation is the one it starts from, and its
+    indexes, kept in shared[p] ({key positions: index}), serve every run
+    that shares them.
     """
 
-    def __init__(self, universe, facts, budget, live, preds):
-        """Each of `preds` starts empty, and round 0's output is the rows of
-        `facts`, {pred: [row, ...]}, one step of the budget each."""
+    def __init__(self, universe, budget, live, model, shared):
+        """Each predicate starts from its relation in `model` ({pred:
+        frozenset}), copied unless shared, or else empty."""
         self.universe, self.budget, self.live = universe, budget, live
-        self.total, self.out = {}, {}
+        self.shared = shared
+        self.total = {p: rel if p in shared else set(rel)
+                      for p, rel in model.items()}
+        self.out = {p: set() for p in self.total}
         self.indexes = {}  # pred -> {key positions: {key: [row, ...]}}
-        for p in (*preds, *facts):
+
+    def load(self, rows, steps):
+        """Make round 0's output the rows of `rows`, {pred: rows}; `steps`
+        already taken, one per fact row among them, count against the
+        budget."""
+        for p, new in rows.items():
             self.rel(p)
-        for p, rows in facts.items():
-            self.out[p].update(rows)
-        n = sum(map(len, facts.values()))
-        if n > budget:
+            self.out[p].update(new)
+        if steps > self.budget:
             raise BudgetExhaustedError("unknown: budget")
-        self.tick = itertools.count(n + 1)  # the next step's number
+        self.tick = itertools.count(steps + 1)  # the next step's number
 
     def rel(self, p):
         if p not in self.total:
@@ -516,7 +563,8 @@ class _Joins:
         return self.total[p]
 
     def index(self, p, positions):
-        by_positions = (self.indexes.setdefault(p, {})
+        by_positions = (self.shared[p] if p in self.shared
+                        else self.indexes.setdefault(p, {})
                         if (p, positions) in self.live else {})
         idx = by_positions.get(positions)
         if idx is None:
@@ -551,14 +599,10 @@ class _Joins:
                     self.universe)
 
 
-def _seminaive_fixpoint(prog, cfg, inputs=None):
-    """The least model's relations, as {pred: set of tuples of `Ind`s}, and
-    the number of productive rounds, for prog with `inputs`: None, or the
-    rows of input/3 facts added to it and the merged constants."""
-    prep = _prepare(prog).seminaive()
-    joins = _Joins(*prep.with_input(inputs), cfg.step_budget, prep.live,
-                   prep.signatures)
-    for plan in prep.seeds:
+def _rounds(prep, joins, seeds):
+    """Run the plans `seeds` once, then every delta of `joins` to the
+    fixpoint; the number of productive rounds."""
+    for plan in seeds:
         joins.bind(*plan)()
     delta, iterations = joins.end_round(joins.out), 0
     runs = {}  # focus predicate -> its plans' runs, bound on first use
@@ -574,7 +618,37 @@ def _seminaive_fixpoint(prog, cfg, inputs=None):
                 run(rows)
             heads.update(prep.heads.get(p, ()))
         delta = joins.end_round(heads)
-    return joins.total, iterations
+    return iterations
+
+
+def _seminaive_fixpoint(prog, cfg, rows=None):
+    """The least model's relations, as {pred: set of tuples of `Ind`s}, and
+    the number of productive rounds, for prog with the input/3 `rows`
+    (names; None: none).
+
+    A decision starts from the program's no-input model, with the input
+    rows as round 0's output.  That is sound, since the model only grows
+    with the rows (Gupta, Mumick & Subrahmanian, SIGMOD 1993), unless a
+    plan enumerates the universe and the input brings new constants: such
+    a plan derives over them with no delta, so that decision starts from
+    the empty model.  A predicate that does not read `input`, even through
+    others, keeps the no-input model's set; any other starts from a copy.
+    The no-input model's steps and rounds count in the decision's.
+    """
+    prep = _prepare(prog).seminaive()
+    budget = cfg.step_budget
+    if rows is None:
+        model, _, rounds = prep.no_input(budget)
+        return model, rounds
+    universe, rels = prep.with_input(rows)
+    if universe is not prep.universe and prep.enumerates:
+        joins = _Joins(universe, budget, prep.live, {}, {})
+        joins.load(rels, prep.fact_rows + len(rows))
+        return joins.total, _rounds(prep, joins, prep.seeds)
+    model, steps, rounds = prep.no_input(budget)
+    joins = _Joins(universe, budget, prep.live, model, prep.shared)
+    joins.load({"input": rels["input"]}, steps + len(rows))
+    return joins.total, rounds + _rounds(prep, joins, ())
 
 
 def least_model_seminaive(prog, cfg=None):
@@ -582,12 +656,12 @@ def least_model_seminaive(prog, cfg=None):
 
     The step budget of `cfg` counts one step per fact row and per tuple a
     rule body yields, duplicates included; BudgetExhaustedError is raised
-    once the count passes the budget.  Each relation of the model is a
-    copy of a fixpoint set.
+    once the count passes the budget.  The model's relations are the
+    program's no-input model, made once and shared by every call.
     """
     total, iterations = _seminaive_fixpoint(prog, cfg or EngineConfig())
     return FixpointResult({p: Bool(() in total[p]) if ty == OMICRON
-                           else Rel(ty, frozenset(total[p]))
+                           else Rel(ty, total[p])
                            for p, ty in prog.signatures.items()}, iterations)
 
 
@@ -617,9 +691,8 @@ _EAGER_DEPTH = 40
 
 
 class DemandEngine:
-    """Tabled evaluation of ground goals against a fixed program, with
-    `inputs`: None, or the rows of input/3 facts added to it and the
-    merged constants.
+    """Tabled evaluation of ground goals against a fixed program, with the
+    input/3 `rows` (names; None: none) added to it.
 
     An individual is its `Ind`.  A closure is interned as an int id, a
     predicate leaf as its name and an application as (fn id, arg), so equal
@@ -635,12 +708,11 @@ class DemandEngine:
     the queue is empty.  So the stable table is the least fixpoint.
     """
 
-    def __init__(self, prog, cfg=None, inputs=None):
+    def __init__(self, prog, cfg=None, rows=None):
         self.cfg = cfg or EngineConfig()
         self.prep = _prepare(prog)
-        self.universe, rows = self.prep.with_input(inputs)
-        self.rels = {p: dict.fromkeys(r) for p, r in rows.items()}  # ordered
-        self.indexes = {}  # (pred, key positions) -> {key: [row, ...]}
+        self.universe, self.rels = self.prep.with_input(rows)  # rels ordered
+        self.indexes = {}  # of the rows this engine adds, keyed as prep's
         self.nodes = []  # closure id -> node
         self.ids = {}  # node -> closure id
         self.texts = {}  # arg -> text, for traces
@@ -777,10 +849,15 @@ class DemandEngine:
                     self.universe)
 
     def _index(self, pred, positions):
-        idx = self.indexes.get((pred, positions))
+        """An index of pred's rows, shared with every engine on the
+        prepared program unless this engine added rows to pred's."""
+        rel = self.rels[pred]
+        indexes = (self.prep.indexes if rel is self.prep.rels[pred]
+                   else self.indexes)
+        idx = indexes.get((pred, positions))
         if idx is None:
-            idx = self.indexes[pred, positions] = {}
-            _extend(idx, positions, self.rels[pred])
+            idx = indexes[pred, positions] = {}
+            _extend(idx, positions, rel)
         return idx
 
     def _read_rows(self, key, *args):
@@ -813,20 +890,17 @@ def _run_engine(prog, w, cfg):
     ty = prog.signatures.get("accept", OMICRON)
     if ty != OMICRON:
         raise EngineError("accept has type %s, not o" % render_type(ty))
-    inputs = None
-    if w is not None:
-        rows = encode_input(w)
-        inputs = rows, merged_constants(prog, rows)
+    rows = None if w is None else encode_input(w)
     if cfg.engine == "seminaive":
-        total, rounds = _seminaive_fixpoint(prog, cfg, inputs)
+        total, rounds = _seminaive_fixpoint(prog, cfg, rows)
         return () in total.get("accept", ()), rounds, "rounds"
     if cfg.engine == "naive":
-        merged = prog if w is None else merge(prog, rows)
+        merged = prog if rows is None else merge(prog, rows)
         res = least_model_naive(merged, cfg.domain_cap, cfg.step_budget)
         return (res.interpretation.get("accept") == TRUE, res.iterations,
                 "T_P applications")
     if cfg.engine == "demand":
-        eng = DemandEngine(prog, cfg, inputs)
+        eng = DemandEngine(prog, cfg, rows)
         return eng.solve(Pred("accept")), eng.steps, "goal runs"
     raise EngineError("unknown engine %r" % cfg.engine)
 

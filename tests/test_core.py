@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from hodatalog.core import (Arrow, IOTA, OMICRON, ResourceLimitError, arrow,
@@ -82,3 +84,20 @@ def test_iteration_bound_overflow():
     st = compute_stats(prog)
     with pytest.raises(ResourceLimitError):
         iteration_bound(st, n=100, k=5)
+
+
+def test_program_is_frozen_and_pickles():
+    # a prepared program must not change under its preparation, and a
+    # program still crosses to worker processes
+    prog, _ = analyze("p a. p b. q X :- (p X).")
+    assert isinstance(prog.clauses, tuple)
+    assert isinstance(prog.constants, tuple)
+    assert prog.facts["p"] == (("a",), ("b",))
+    with pytest.raises(TypeError):
+        prog.signatures["r"] = OMICRON
+    with pytest.raises(TypeError):
+        prog.facts["r"] = ()
+    copy = pickle.loads(pickle.dumps(prog))
+    assert copy == prog and copy is not prog
+    with pytest.raises(TypeError):
+        copy.facts["r"] = ()

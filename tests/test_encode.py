@@ -35,10 +35,11 @@ def test_merge_appends_to_the_input_facts():
     # program itself keeps its facts
     prog, _ = analyze("input 0 b end. accept :- (input 0 a end).")
     merged = merge(prog, encode_input("a"))
-    assert merged.facts["input"] == [("0", "b", "end"), ("0", "a", "end")]
-    assert prog.facts == {"input": [("0", "b", "end")]}
+    assert merged.facts["input"] == (("0", "b", "end"), ("0", "a", "end"))
+    assert prog.facts == {"input": (("0", "b", "end"),)}
     assert merged.clauses == prog.clauses
-    assert merged.clauses is not prog.clauses
+    with pytest.raises(TypeError):  # shared, so neither may change
+        merged.facts["input"] = ()
 
 
 def test_merge_drops_designated_constant():

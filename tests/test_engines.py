@@ -339,37 +339,55 @@ def test_second_decision_lowers_nothing(monkeypatch):
 
 
 def test_changed_program_gets_its_new_model():
+    # a program cannot change in place; a rebuilt one, with another fact
+    # row or without a rule, is a new object prepared anew
     prog, _ = analyze("p a. r b. q X :- (p X).")
     assert least_model_seminaive(prog).interpretation["q"].tuples == {
         (Ind("a"),)}
     assert not DemandEngine(prog).solve(ap(P("q"), C("b")))
-    # the fact p b, added in place: b is a constant already, so only the
-    # fact list tells that the program changed
-    prog.facts["p"].append(("b",))
-    semi = least_model_seminaive(prog).interpretation
-    assert semi == least_model_naive(prog).interpretation
+    with pytest.raises(AttributeError):
+        prog.facts["p"].append(("b",))
+    with pytest.raises(TypeError):
+        prog.facts["p"] = (("a",), ("b",))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prog.clauses = ()
+    more = dataclasses.replace(prog, facts={**prog.facts,
+                                            "p": (("a",), ("b",))})
+    semi = least_model_seminaive(more).interpretation
+    assert semi == least_model_naive(more).interpretation
     assert semi["q"].tuples == {(Ind("a"),), (Ind("b"),)}
-    assert DemandEngine(prog).solve(ap(P("q"), C("b")))
-    prog.clauses = []  # q's rule gone
-    assert least_model_seminaive(prog).interpretation["q"].tuples == set()
-    assert not DemandEngine(prog).solve(ap(P("q"), C("a")))
+    assert DemandEngine(more).solve(ap(P("q"), C("b")))
+    fewer = dataclasses.replace(prog, clauses=())  # q's rule gone
+    assert least_model_seminaive(fewer).interpretation["q"].tuples == set()
+    assert not DemandEngine(fewer).solve(ap(P("q"), C("a")))
+    # the first program keeps its own model
+    assert least_model_seminaive(prog).interpretation["q"].tuples == {
+        (Ind("a"),)}
 
 
 def test_clauses_cannot_change_in_place():
-    # a preparation is kept while the program's clause list holds the same
-    # clauses, so a clause changed in place would get a stale model
-    prog, _ = analyze("p a. p b. q X :- (p X), (X = a).")
+    # a preparation is kept for the life of its program, so neither a
+    # clause nor the clause tuple may change under it
+    prog, _ = analyze("p a. p b. q X :- (p X), (X = a). accept :- (q b).")
     assert least_model_seminaive(prog).interpretation["q"].tuples == {
         (Ind("a"),)}
-    rule = prog.clauses[-1]
+    rule = prog.clauses[0]
     with pytest.raises(AttributeError):
         rule.body.pop()
     with pytest.raises(dataclasses.FrozenInstanceError):
         rule.body = rule.body[:1]
-    prog.clauses[-1] = dataclasses.replace(rule, body=rule.body[:1])
-    semi = least_model_seminaive(prog).interpretation
-    assert semi == least_model_naive(prog).interpretation
+    with pytest.raises(TypeError):
+        prog.clauses[0] = dataclasses.replace(rule, body=rule.body[:1])
+    loose = dataclasses.replace(prog, clauses=(
+        dataclasses.replace(rule, body=rule.body[:1]), *prog.clauses[1:]))
+    semi = least_model_seminaive(loose).interpretation
+    assert semi == least_model_naive(loose).interpretation
     assert semi["q"].tuples == {(Ind("a"),), (Ind("b"),)}
+    # a merge is a new program too, with a model of its own
+    for engine in ("seminaive", "demand"):
+        cfg = EngineConfig(engine=engine)
+        assert decide(merge(loose, encode_input("a")), None, cfg) == "accept"
+        assert decide(prog, None, cfg) == "reject"
 
 
 def test_prepared_programs_are_not_kept_alive():
@@ -449,6 +467,132 @@ def test_seminaive_budget_counts_every_fact_row():
         least_model_seminaive(prog, EngineConfig(step_budget=2))
 
 
+def test_warm_decision_counts_the_no_input_steps():
+    # the no-input model takes the 8 steps counted above; a decision on
+    # "a" adds its input row and accept: 10 steps, warm or cold
+    text = ("p a. p b. q X :- (p X). q X :- (p X), (p X). "
+            "accept :- (input 0 a end), (q a).")
+
+    def semi(budget):
+        return EngineConfig(engine="seminaive", step_budget=budget)
+
+    prog, _ = analyze(text)
+    assert decide(prog, "a", semi(10)) == "accept"
+    assert decide(prog, None, semi(8)) == "reject"
+    for w, budget in (("a", 9), (None, 7)):
+        with pytest.raises(BudgetExhaustedError):
+            decide(prog, w, semi(budget))
+        with pytest.raises(BudgetExhaustedError):
+            decide(analyze(text)[0], w, semi(budget))
+    with pytest.raises(BudgetExhaustedError):
+        least_model_seminaive(prog, semi(7))
+
+
+def test_warm_rounds_add_the_no_input_rounds():
+    # no input: p, q and r in 3 rounds; then "a" makes accept in 1 more
+    # round and ends in another: 5, where a run from the empty model,
+    # which meets the input before r, takes 4
+    prog, _ = analyze("p a. q X :- (p X). r X :- (q X). "
+                      "accept :- (input 0 S J), (r a).")
+    semi = EngineConfig(engine="seminaive")
+    assert least_model_seminaive(prog).iterations == 3
+    assert engines._run_engine(prog, "a", semi) == (True, 5, "rounds")
+    assert least_model_seminaive(
+        merge(prog, encode_input("a"))).iterations == 4
+    # so the crosscheck gate against the paper's round bound only tightens
+    fo = compile_tm_first_order(sample_machine("parity"), 1)
+    for w in ("", "a", "b"):
+        _, rounds, _ = engines._run_engine(fo, w, semi)
+        assert rounds >= least_model_seminaive(
+            merge(fo, encode_input(w))).iterations, w
+
+
+def test_new_constants_restart_a_universe_enumerating_program():
+    # p X Y enumerates X over the universe with no delta, so a start from
+    # the no-input model, whose universe lacks b, would miss p b a
+    text = "q a. p X Y :- (q Y). accept :- (input 0 S J), (p J a)."
+    for engine in ("naive", "seminaive", "demand"):
+        cfg = EngineConfig(engine=engine)
+        assert decide(analyze(text)[0], "b", cfg) == "accept", engine
+        prog, _ = analyze(text)
+        assert decide(prog, None, cfg) == "reject", engine
+        assert decide(prog, "b", cfg) == "accept", engine
+
+
+def test_warm_decision_leaves_the_program_facts_alone(monkeypatch):
+    # the second decision on each fast engine makes no Ind of a program
+    # constant and extends no index of edge: both are prepared once
+    prog, _ = analyze(" ".join("edge n%d n%d." % (i, i + 1)
+                               for i in range(1000))
+                      + " two X Z :- (edge X Y), (edge Y Z)."
+                      " accept :- (input I S J), (edge n0 X), (two X n3).")
+    edges = {(Ind("n%d" % i), Ind("n%d" % (i + 1))) for i in range(1000)}
+    made, extended = [], []
+
+    def counting_ind(name, _ind=Ind):
+        made.append(name)
+        return _ind(name)
+
+    def counting_extend(idx, positions, rows, _extend=engines._extend):
+        rows = list(rows)
+        extended.extend(row for row in rows if row in edges)
+        _extend(idx, positions, rows)
+
+    for engine in ("seminaive", "demand"):
+        cfg = EngineConfig(engine=engine)
+        assert decide(prog, "ab", cfg) == "accept"
+        with monkeypatch.context() as m:
+            m.setattr(engines, "Ind", counting_ind)
+            m.setattr(engines, "_extend", counting_extend)
+            assert decide(prog, "ba", cfg) == "accept"
+        assert not set(made) & set(prog.constants), engine
+        assert made and not extended, engine
+
+
+# Random first-order programs whose rules read the input: decisions on
+# one program object must not see each other's input rows.
+INPUT_TERMS = st.sampled_from(["X", "Y", "Z", "a", "b", "0", "end"])
+
+
+@st.composite
+def _input_clause(draw):
+    arities = {**ARITIES, "input": 3}
+    head = draw(st.sampled_from(sorted(ARITIES) + ["accept"]))
+    head = " ".join([head] + [draw(INPUT_TERMS)
+                              for _ in range(ARITIES.get(head, 0))])
+    body = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 4)) == 0:
+            body.append("(%s = %s)" % (draw(INPUT_TERMS), draw(INPUT_TERMS)))
+            continue
+        p = draw(st.sampled_from(sorted(arities)))
+        body.append("(%s)" % " ".join(
+            [p] + [draw(INPUT_TERMS) for _ in range(arities[p])]))
+    return "%s :- %s." % (head, ", ".join(body))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_input_clause(), min_size=1, max_size=5).map(" ".join),
+       st.text("ab", max_size=3), st.text("ab", max_size=3))
+@example("e a b. u a. e X Y :- (input X Y Z). u Y :- (e X Y), (u X). "
+         "accept :- (u end), (input X a Y).", "ab", "b")
+@example("u a. t X Y Z :- (u Y). accept :- (input 0 S J), (t J a X).",
+         "b", "a")                          # enumerates: new constants
+def test_decisions_on_one_program_stay_isolated(text, w1, w2):
+    prog, report = analyze("e a b. u a. " + text)
+    assert report.ok, report.violations
+    for w in (w1, w2, w1):
+        rows = encode_input(w)
+        naive = least_model_naive(merge(prog, rows)).interpretation
+        total, _ = _seminaive_fixpoint(prog, EngineConfig(), rows)
+        assert {p: Bool(() in total[p]) if isinstance(v, Bool)
+                else dataclasses.replace(v, tuples=frozenset(total[p]))
+                for p, v in naive.items()} == naive, w
+        want = "accept" if naive.get("accept") == Bool(True) else "reject"
+        for engine in ("seminaive", "demand"):
+            assert decide(prog, w, EngineConfig(engine=engine)) == want, w
+
+
 @pytest.mark.parametrize("text, rows", [
     # each program with its fact rows; every other clause is a rule
     ("p a. p a. p b.", {"p": [("a",), ("a",), ("b",)]}),
@@ -463,7 +607,7 @@ def test_seminaive_budget_counts_every_fact_row():
 def test_fact_rows_agree_with_naive(text, rows):
     prog, report = analyze(text)
     assert report.ok, report.violations
-    assert prog.facts == rows
+    assert prog.facts == {p: tuple(r) for p, r in rows.items()}
     naive = least_model_naive(prog)
     semi = least_model_seminaive(prog)
     assert semi.interpretation == naive.interpretation

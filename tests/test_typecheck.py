@@ -80,7 +80,7 @@ def test_undefined_predicate_constant_is_legal():
 def test_desugar_head_constant():
     # a ground fact is a row; a head constant beside a variable is equated
     prog, _ = analyze("p a. r a X.")
-    assert prog.facts == {"p": [("a",)]}
+    assert prog.facts == {"p": (("a",),)}
     assert prog.clauses_for("p") == []
     cl = prog.clauses_for("r")[0]
     assert len(cl.formals) == 2
@@ -92,9 +92,9 @@ def test_desugar_mixed_program():
     # proposition included; a written equation stays a rule
     prog, report = analyze("p a. r a X. q X :- (X = a). z.")
     assert report.ok, report.violations
-    assert prog.facts == {"p": [("a",)], "z": [()]}
+    assert prog.facts == {"p": (("a",),), "z": ((),)}
     assert [cl.head for cl in prog.clauses] == ["r", "q"]
-    assert prog.constants == ["a"]
+    assert prog.constants == ("a",)
 
 
 def test_desugar_repeated_variable():
