@@ -12,10 +12,10 @@ predicate names are numbered out, and each body atom becomes an
 equality, a "rows" atom (read from the rows of a predicate held as a
 relation) or a subgoal call.  One planner, `_plan`, orders both engines'
 bodies, so that rows and bound calls bind variables before a call
-enumerates them.  Rules of one shape share a plan, emitted by one
-`_source` as Python source of nested loops and compiled once per
-process; a run binds the code to the resources `_resources` collects and
-to its constants.
+enumerates them.  Rules of one shape share a plan.  Plans are merged on
+their common step prefixes into a `_Trie`, which one `_source` emits as
+Python source of nested loops, compiled once per process; a run binds
+the code to the resources `_resources` collects and to its constants.
 
 * least_model_seminaive: delta-driven bottom-up evaluation for first-order
   programs; every predicate is read as rows, its fact rows loaded in
@@ -25,7 +25,10 @@ to its constants.
   starts from it, the input rows its first delta, unless a plan
   enumerates the universe and the input brings new constants; the
   relations and indexes of predicates that do not read `input` are
-  shared with it.  Each rule shape is planned once per delta focus.
+  shared with it.  Each rule shape is planned once per delta focus, and
+  the plans of one focus run as one trie (a few, for bodies too long to
+  compile as one), so rules that read the same delta loop over it once
+  and probe their common join prefix once.
   Probes go through one hash index per (predicate, bound positions); a
   probe that binds every position tests the relation itself.  Only live
   indexes, those a recurring plan probes, are kept and extended with each
@@ -154,9 +157,9 @@ class _Slots:
 
 
 def _match_step(kind, i, atom, slots):
-    """A step reading the rows of body atom i:
-    (kind, i, key positions, key slots, output positions, first output
-    slot, checks).
+    """The steps reading the rows of body atom i: (kind, i, key positions,
+    key slots, output positions, first output slot), and ("check", [(slot,
+    slot), ...]) if it has checks.
 
     Outside the delta focus, the positions holding a constant or an
     already bound variable form the probe key.  Every other position is
@@ -186,7 +189,8 @@ def _match_step(kind, i, atom, slots):
             kind = "member"
         elif not key_pos:
             kind = "scan"
-    return (kind, i, tuple(key_pos), key_slots, out_pos, lo, checks)
+    step = (kind, i, tuple(key_pos), key_slots, out_pos, lo)
+    return [step, ("check", checks)] if checks else [step]
 
 
 def _eq_step(atom, slots):
@@ -194,94 +198,148 @@ def _eq_step(atom, slots):
     are known, else an assignment to the unknown one."""
     _, l, r = atom
     if l in slots.of and r in slots.of:
-        return ("check", slots.of[l], slots.of[r])
+        return ("check", [(slots.of[l], slots.of[r])])
     if l in slots.of:
         return ("assign", slots.fresh(r), slots.of[l])
     return ("assign", slots.fresh(l), slots.of[r])
 
 
-# Blocks one emitted function nests before the rest of the plan moves to
+# Blocks one emitted function nests before the rest of a trie moves to
 # another: CPython allows 20 nested loops and 100 indentation levels.
 _MAX_DEPTH = 16
+# Nodes a trie takes before the next plan of its focus starts another:
+# compiling a source costs memory in proportion to its length.
+_MAX_NODES = 1000
 
 
-def _source(steps, consts, bound, params, ctx):
-    """Python source of `make(R, C, <params>)`, which binds a plan's
-    resources R (`_resources`) and constants C, and returns `run(<ctx>,
-    ...)`, whose further parameters are the slots from `consts` to `bound`.
+class _Trie:
+    """Plans merged on their common step prefixes, for `_source` to emit as
+    one function.  In a step, "si" is a plan's ith variable (a number if
+    the step binds it), "cj" the trie's jth distinct constant (`consts`), a
+    rows atom its number in `res` ((pred, key positions) of a probe, else
+    (pred, None)) and a head its number in `heads`.  Plans share a node
+    while their steps are equal, so its loop or test runs once for all;
+    emit leaves are never shared, so every plan's tuples count."""
 
-    Slot i is the local `si`.  Each step is a `for` over rows or an `if`,
-    nested in the one before, or a line of straight code: an "app" step
-    interns an application with `mk`, and a "call" step tests a subgoal
-    with `call(goal key, key)`.  The innermost step "emit" ticks the
-    budget and adds the head tuple, or "return" ends the run true.  The
-    source never names a predicate, constant or term of the program.
+    def __init__(self):
+        self.root, self.size = [], 0  # [(step, children), ...], nodes
+        self.consts, self.res, self.heads = {}, {}, {}  # key -> its number
+
+    def add(self, steps, preds, consts, head=None):
+        """Merge in a plan: `_plan`'s steps over atoms of the predicates
+        `preds` and the constants `consts`, emitting `head`."""
+        n = len(consts)
+        for c in consts:
+            self.consts.setdefault(c, len(self.consts))
+
+        def op(slot):
+            return ("s%d" % (slot - n) if slot >= n
+                    else "c%d" % self.consts[consts[slot]])
+
+        node = self.root
+        for step in steps:
+            kind = step[0]
+            if kind in ("delta", "probe", "scan", "member"):
+                _, i, key_pos, key, out_pos, lo = step
+                res = None if kind == "delta" else self.res.setdefault(
+                    (preds[i], key_pos if kind == "probe" else None),
+                    len(self.res))
+                step = (kind, res, tuple(map(op, key)), tuple(out_pos), lo - n)
+            elif kind == "check":
+                step = (kind, tuple((op(a), op(b)) for a, b in step[1]))
+            elif kind == "emit":
+                step = (kind, self.heads.setdefault(head, len(self.heads)),
+                        tuple(map(op, step[1])))
+            elif kind == "call":
+                step = (kind, op(step[1]), tuple(map(op, step[2])), step[3])
+            elif kind != "return":  # "assign", "app", "enum": slot 1 bound
+                step = (kind, step[1] - n, *map(op, step[2:]))
+            child = None if kind == "emit" else next(
+                (c for s, c in node if s == step), None)
+            if child is None:
+                child = []
+                node.append((step, child))
+                self.size += 1
+            node = child
+
+
+def _source(trie, bound, params, ctx):
+    """Python source of `make(R, C, <params>)` for a `_Trie`, which binds
+    its resources R (`_resources`), its constants C and, if it emits, its
+    heads' `add`s A, and returns `run(<ctx>, ...)`, whose further
+    parameters are the first `bound` variables.
+
+    A node's step is a `for` over rows or an `if`, its children nested in
+    it, or a line of straight code followed by them; siblings run one after
+    another.  An "app" step interns an application with `mk`, and a "call"
+    step tests a subgoal with `call(goal key, key)`.  A leaf "emit" ticks
+    the budget and adds the head tuple, or "return" ends the run true.
+    Children nested deeper than `_MAX_DEPTH` move to a function of the
+    bound variables.  The source never names a predicate, constant or term
+    of the program.
     """
-    lines = ["def make(R, C, %s):" % params]
-    res = [n for n, s in enumerate(steps) if s[0] in ("probe", "scan", "member")]
-    lines.append(" %s = R" % _tuple("r%d" % n for n in res))
-    lines.append(" %s = C" % _tuple("s%d" % i for i in range(consts)))
+    lines = ["def make(R, C, %s):" % params,
+             " %s = R" % _tuple("r%d" % n for n in range(len(trie.res))),
+             " %s = C" % _tuple("c%d" % j for j in range(len(trie.consts)))]
+    if trie.heads:
+        lines.append(" %s = A" % _tuple("a%d" % h for h in range(
+            len(trie.heads))))
+    helpers = []  # (nodes, bound) of each function split off: f1, f2, ...
 
-    def sig():
-        return ", ".join(ctx + ["s%d" % i for i in range(consts, bound)])
+    def sig(bound):
+        return ", ".join(ctx + ["s%d" % i for i in range(bound)])
 
-    lines.append(" def run(%s):" % sig())
-    depth, calls = 2, 0
-    for n, step in enumerate(steps):
-        if depth > _MAX_DEPTH:
-            calls += 1
-            lines += [" " * depth + "if f%d(%s):" % (calls, sig()),
-                      " " * depth + " return True",
-                      " def f%d(%s):" % (calls, sig())]
-            depth = 2
-        pad, kind = " " * depth, step[0]
-        if kind in ("assign", "app"):
-            lines.append(pad + ("s%d = s%d" if kind == "assign"
-                                else "s%d = mk((s%d, s%d))") % step[1:])
-            bound = step[1] + 1
-            continue
-        if kind == "emit":
-            lines += [pad + "if next(tick) > budget:",
-                      pad + ' raise BudgetExhaustedError("unknown: budget")',
-                      pad + "add(%s)" % _tuple("s%d" % i for i in step[1])]
-            continue
-        if kind == "return":
-            lines.append(pad + "return True")
-            continue
-        depth += 1
-        if kind == "check":
-            lines.append(pad + "if s%d == s%d:" % step[1:])
-            continue
-        if kind == "enum":
-            lines.append(pad + "for s%d in universe:" % step[1])
-            bound = step[1] + 1
-            continue
-        if kind == "call":
-            # a goal key: (name, arg, ...), or a closure's spine and args
-            _, head, args, closure = step
-            sub = _tuple("s%d" % i for i in (args if closure
-                                             else (head, *args)))
-            if closure:
-                sub = "spine(s%d) + %s" % (head, sub)
-            lines.append(pad + "if call(%s, key):" % sub)
-            continue
-        _, _, key_pos, key_slots, out_pos, lo, checks = step
-        key = ["s%d" % i for i in key_slots]
-        if kind == "member":
-            lines.append(pad + "if %s in r%d:" % (_tuple(key), n))
-            continue
-        bound = lo + len(out_pos)
-        target = ["_"] * (len(key_pos) + len(out_pos))
-        for j, pos in enumerate(out_pos):
-            target[pos] = "s%d" % (lo + j)
-        # "(s1)" is one value, "(s1, s2)" a tuple, as `_extend` keys rows
-        rows = {"delta": "rows", "scan": "r%d" % n,
-                "probe": "r%d((%s), ())" % (n, ", ".join(key))}[kind]
-        lines.append(pad + "for %s in %s:" % (_tuple(target), rows))
-        if checks:
-            lines.append(" " * depth + "if %s:" % " and ".join(
-                "s%d == s%d" % c for c in checks))
-            depth += 1
+    def block(nodes, depth, bound, out):
+        if nodes and depth > _MAX_DEPTH:
+            helpers.append((nodes, bound))
+            out += [" " * depth + "if f%d(%s):" % (len(helpers), sig(bound)),
+                    " " * depth + " return True"]
+            return
+        for step, children in nodes:
+            pad, kind, inner, now = " " * depth, step[0], depth + 1, bound
+            if kind in ("assign", "app"):
+                out.append(pad + ("s%d = %s" if kind == "assign"
+                                  else "s%d = mk((%s, %s))") % step[1:])
+                inner, now = depth, step[1] + 1
+            elif kind == "emit":
+                out += [pad + "if next(tick) > budget:",
+                        pad + ' raise BudgetExhaustedError("unknown: budget")',
+                        pad + "a%d(%s)" % (step[1], _tuple(step[2]))]
+            elif kind == "return":
+                out.append(pad + "return True")
+            elif kind == "check":
+                out.append(pad + "if %s:" % " and ".join(
+                    "%s == %s" % c for c in step[1]))
+            elif kind == "enum":
+                out.append(pad + "for s%d in universe:" % step[1])
+                now = step[1] + 1
+            elif kind == "call":
+                # a goal key: (name, arg, ...), or a closure's spine and args
+                _, head, args, closure = step
+                sub = _tuple(args if closure else (head, *args))
+                if closure:
+                    sub = "spine(%s) + %s" % (head, sub)
+                out.append(pad + "if call(%s, key):" % sub)
+            elif kind == "member":
+                out.append(pad + "if %s in r%d:" % (_tuple(step[2]), step[1]))
+            else:
+                _, r, key, out_pos, lo = step
+                now = lo + len(out_pos)
+                target = ["_"] * (len(key) + len(out_pos))
+                for j, pos in enumerate(out_pos):
+                    target[pos] = "s%d" % (lo + j)
+                # "(s1)" is one value, "(s1, s2)" a tuple, as `_extend` keys
+                rows = ("rows" if kind == "delta" else "r%d" % r
+                        if kind == "scan" else "r%d((%s), ())"
+                        % (r, ", ".join(key)))
+                out.append(pad + "for %s in %s:" % (_tuple(target), rows))
+            block(children, inner, now, out)
+
+    lines.append(" def run(%s):" % sig(bound))
+    block(trie.root, 2, bound, lines)
+    for n, (nodes, bound) in enumerate(helpers, 1):  # helpers may grow
+        lines.append(" def f%d(%s):" % (n, sig(bound)))
+        block(nodes, 2, bound, lines)
     lines.append(" return run")
     return "\n".join(lines) + "\n"
 
@@ -304,13 +362,11 @@ def _extend(idx, positions, rows):
         idx.setdefault(key(row), []).append(row)
 
 
-def _resources(steps, preds, rel, index):
-    """What a plan's code reads, its R in `_source`: per probe step the
-    `get` of index(pred, key positions), per scan or member step rel(pred),
-    pred being the predicate of the step's atom."""
-    return [index(preds[s[1]], s[2]).get if s[0] == "probe"
-            else rel(preds[s[1]])
-            for s in steps if s[0] in ("probe", "scan", "member")]
+def _resources(res, rel, index):
+    """What a trie's code reads, its R in `_source`: for each (pred, key
+    positions) of `res` the `get` of index(pred, key positions), and for
+    each (pred, None) rel(pred)."""
+    return [rel(p) if pos is None else index(p, pos).get for p, pos in res]
 
 
 def _plan(atoms, slots, focus=None):
@@ -328,7 +384,7 @@ def _plan(atoms, slots, focus=None):
     steps = []
     if focus is not None:
         work.remove(focus)
-        steps.append(_match_step("delta", focus, atoms[focus], slots))
+        steps += _match_step("delta", focus, atoms[focus], slots)
 
     def ground(t):
         """The slot of a term whose variables are bound; an application
@@ -356,7 +412,7 @@ def _plan(atoms, slots, focus=None):
         if atom[0] == "eq":
             steps.append(_eq_step(atom, slots))
         elif atom[0] == "rows":  # of order at most 1: no application
-            steps.append(_match_step("probe", pick, atom, slots))
+            steps += _match_step("probe", pick, atom, slots)
         else:
             _, head, terms, variables, closure = atom
             steps += [("enum", slots.fresh(v)) for v in variables
@@ -398,20 +454,19 @@ class _Prepared:
         self.plans = self.model = None
 
     def with_input(self, rows):
-        """The universe and rows of a decision with the input/3 `rows`
-        (names; None: none): the program's own, with the input's new
-        constants appended in first-occurrence order to a copy of the
-        universe (the program's own list if there are none), and its rows
-        added to a copy of `input`'s alone."""
+        """The new constants, as `Ind`s in first-occurrence order, and the
+        rows of a decision with the input/3 `rows` (names; None: none): the
+        program's own, with its rows added to a copy of `input`'s alone."""
         if rows is None:
-            return self.universe, self.rels
+            return [], self.rels
         new = new_constants(self.signatures, rows, self.names)
-        return (self.universe + list(map(Ind, new)) if new else self.universe,
-                {**self.rels, "input": {**self.rels["input"], **dict.fromkeys(
-                    tuple(map(Ind, row)) for row in rows)}})
+        return list(map(Ind, new)), {**self.rels, "input": {
+            **self.rels["input"], **dict.fromkeys(
+                tuple(map(Ind, row)) for row in rows)}}
 
     def bodies(self, pred):
-        """(preds, consts, steps, make) of pred's rules, lowered for demand."""
+        """(preds, consts, resources, enumerates, make) of pred's rules,
+        lowered for demand."""
         rules = self.demand.get(pred)
         if rules is None:
             rules = self.demand[pred] = []
@@ -421,14 +476,16 @@ class _Prepared:
         return rules
 
     def seminaive(self):
-        """Self, with the seminaive half made: plans (head, preds, consts,
-        steps, make) with no focus, such as `p X :- (X = a).` (`seeds`),
-        and by focus predicate (`plans`), with the heads each focus's
-        plans emit (`heads`); the (pred, key positions) that a plan whose
-        focus heads a rule probes (`live`); whether any plan enumerates
-        the universe (`enumerates`); and, for each predicate that does not
-        read `input`, even through others, the indexes that decisions
-        share (`shared`).  Any other plan runs in round 1 only, the one
+        """Self, with the seminaive half made: the rule plans with no focus,
+        such as `p X :- (X = a).`, merged into a trie (`seeds`), and those
+        of each focus predicate into one (`plans`), with the heads each
+        focus's plans emit (`heads`); a trie is (heads, resources, consts,
+        make) for `_Joins.bind`, and plans past `_MAX_NODES` nodes start
+        another.  Also the (pred, key positions) that a plan whose focus
+        heads a rule probes (`live`); whether any plan enumerates the
+        universe (`enumerates`); and, for each predicate that does not read
+        `input`, even through others, the indexes that decisions share
+        (`shared`).  Any other focus's tries run in round 1 only, the one
         round its focus has a delta."""
         if self.plans is not None:
             return self
@@ -437,23 +494,27 @@ class _Prepared:
                 raise EngineError("seminaive engine requires a first-order "
                                   "program (predicate %s has order %d)"
                                   % (p, type_order(ty)))
-        seeds, plans, heads, reads = [], {}, {}, {}
+        tries, reads, self.enumerates = {}, {}, False
         for head, rules in self.rules.items():
             for cl in rules:
                 key, preds, consts = _shape(cl, self.signatures)
                 reads.setdefault(head, set()).update(preds)
-                for focus, steps, make in _rule_plans(key):
-                    plan = (head, preds, consts, steps, make)
-                    if focus is None:
-                        seeds.append(plan)
-                        continue
-                    plans.setdefault(preds[focus], []).append(plan)
-                    heads.setdefault(preds[focus], {})[head] = None
-        self.live = {(preds[s[1]], s[2]) for p, ps in plans.items()
-                     if p in self.rules for _, preds, _, steps, _ in ps
-                     for s in steps if s[0] == "probe"}
-        self.enumerates = any(s[0] == "enum" for ps in (seeds, *plans.values())
-                              for *_, steps, _ in ps for s in steps)
+                for focus, steps in _rule_plans(key):
+                    group = tries.setdefault(
+                        None if focus is None else preds[focus], [_Trie()])
+                    if group[-1].size > _MAX_NODES:
+                        group.append(_Trie())
+                    group[-1].add(steps, preds, consts, head)
+                    self.enumerates |= any(s[0] == "enum" for s in steps)
+        plans = {p: [(trie.heads, list(trie.res), tuple(trie.consts),
+                      _trie_code(_source(trie, 0, "A, tick, budget, universe",
+                                         [] if p is None else ["rows"])))
+                     for trie in group] for p, group in tries.items()}
+        seeds = plans.pop(None, [])
+        heads = {p: {h: None for plan in group for h in plan[0]}
+                 for p, group in plans.items()}
+        self.live = {r for p, group in plans.items() if p in self.rules
+                     for plan in group for r in plan[1] if r[1] is not None}
         dependent, grown = {"input"}, True
         while grown:
             grown = {h for h, ps in reads.items()
@@ -500,11 +561,12 @@ def _prepare(prog):
 
 @functools.lru_cache(maxsize=512)
 def _rule_plans(key):
-    """(focus, steps, factory) for each delta focus of a rule shape (a
-    `_shape` key): every atom that is not an equality, or None when there
-    is none.  The body `_plan` orders is followed by enumerations of the
-    formals it leaves unbound and a step that emits the head.  Each of the
-    512 latest shapes is planned and compiled once per process."""
+    """(focus, steps) for each delta focus of a rule shape (a `_shape`
+    key): every atom that is not an equality, or None when there is none.
+    The body `_plan` orders is followed by enumerations of the formals it
+    leaves unbound and a step that emits the head.  Each of the 512 latest
+    shapes is planned once per process; `_Prepared.seminaive` merges the
+    plans of one focus into one `_Trie`."""
     formals, atoms, consts = key
     foci = [i for i, a in enumerate(atoms) if a[0] == "rows"]
     out = []
@@ -515,10 +577,13 @@ def _rule_plans(key):
             if f not in slots.of:
                 steps.append(("enum", slots.fresh(f)))
         steps.append(("emit", [slots.of[f] for f in formals]))
-        ctx = ["rows"] if focus is not None else []
-        out.append((focus, steps, _compile(_source(
-            steps, consts, consts, "add, tick, budget, universe", ctx))))
+        out.append((focus, steps))
     return tuple(out)
+
+
+# The factory of a seminaive trie's source: the 512 latest are compiled
+# once per process, so programs that differ only in names share code.
+_trie_code = functools.lru_cache(maxsize=512)(_compile)
 
 
 class _Joins:
@@ -590,13 +655,14 @@ class _Joins:
                 delta[p] = new
         return delta
 
-    def bind(self, head, preds, consts, steps, make):
-        """A rule's `run` for one plan, over this run's relations and
-        indexes; an index the plan probes is built here if it is new."""
-        res = _resources(steps, preds, self.rel, self.index)
-        self.rel(head)
-        return make(res, consts, self.out[head].add, self.tick, self.budget,
-                    self.universe)
+    def bind(self, heads, res, consts, make):
+        """A trie's `run` (`_Prepared.seminaive`), over this run's relations
+        and indexes; an index it probes is built here if it is new."""
+        for head in heads:
+            self.rel(head)
+        return make(_resources(res, self.rel, self.index), consts,
+                    tuple(self.out[head].add for head in heads), self.tick,
+                    self.budget, self.universe)
 
 
 def _rounds(prep, joins, seeds):
@@ -640,13 +706,13 @@ def _seminaive_fixpoint(prog, cfg, rows=None):
     if rows is None:
         model, _, rounds = prep.no_input(budget)
         return model, rounds
-    universe, rels = prep.with_input(rows)
-    if universe is not prep.universe and prep.enumerates:
-        joins = _Joins(universe, budget, prep.live, {}, {})
+    new, rels = prep.with_input(rows)
+    if new and prep.enumerates:
+        joins = _Joins(prep.universe + new, budget, prep.live, {}, {})
         joins.load(rels, prep.fact_rows + len(rows))
         return joins.total, _rounds(prep, joins, prep.seeds)
     model, steps, rounds = prep.no_input(budget)
-    joins = _Joins(universe, budget, prep.live, model, prep.shared)
+    joins = _Joins(prep.universe, budget, prep.live, model, prep.shared)
     joins.load({"input": rels["input"]}, steps + len(rows))
     return joins.total, rounds + _rounds(prep, joins, ())
 
@@ -670,9 +736,11 @@ def least_model_seminaive(prog, cfg=None):
 
 @functools.lru_cache(maxsize=512)
 def _demand_body(key):
-    """(steps, factory) of a demand clause shape (a `_shape` key), planned
-    and compiled once per process, like `_rule_plans`.  Formals are bound
-    on entry, and `_plan` orders the body after them.  The factory's
+    """(resources, enumerates, factory) of a demand clause shape (a `_shape`
+    key), planned and compiled once per process: its resources are
+    (atom number, key positions or None), and it enumerates if a step
+    reads the universe.  Formals are bound on entry, and `_plan` orders
+    the body after them, emitted as a one-path `_Trie`.  The factory's
     `run(key, formal id, ...)` is true once one instance of the body
     holds, `key` being the goal it runs for."""
     formals, atoms, consts = key
@@ -680,8 +748,11 @@ def _demand_body(key):
     for f in formals:
         slots.fresh(f)
     steps = _plan(atoms, slots) + [("return",)]
-    return steps, _compile(_source(steps, consts, consts + len(formals),
-                                   "mk, call, spine, universe", ["key"]))
+    trie = _Trie()
+    trie.add(steps, range(len(atoms)), range(consts))
+    return (list(trie.res), any(s[0] == "enum" for s in steps),
+            _compile(_source(trie, len(formals),
+                             "mk, call, spine, universe", ["key"])))
 
 
 # First runs nest at most this deep.  A level takes `_call`, `_step`,
@@ -711,7 +782,8 @@ class DemandEngine:
     def __init__(self, prog, cfg=None, rows=None):
         self.cfg = cfg or EngineConfig()
         self.prep = _prepare(prog)
-        self.universe, self.rels = self.prep.with_input(rows)  # rels ordered
+        self.new, self.rels = self.prep.with_input(rows)  # rels ordered
+        self.universe = self.prep.universe
         self.indexes = {}  # of the rows this engine adds, keyed as prep's
         self.nodes = []  # closure id -> node
         self.ids = {}  # node -> closure id
@@ -839,12 +911,16 @@ class DemandEngine:
             self.open.discard(key)
         return False
 
-    def _bind(self, preds, consts, steps, make):
+    def _bind(self, preds, consts, res, enumerates, make):
         """A rule's body bound to this engine; an index of rows it probes is
-        built here if it is new."""
+        built here if it is new, and the universe with the input's new
+        constants for the first body that enumerates it."""
         consts = [self._term_id(c) if isinstance(c, (App, Pred)) else c
                   for c in consts]
-        res = _resources(steps, preds, self.rels.__getitem__, self._index)
+        if enumerates and self.new:
+            self.universe, self.new = self.prep.universe + self.new, []
+        res = _resources([(preds[i], pos) for i, pos in res],
+                         self.rels.__getitem__, self._index)
         return make(res, consts, self._id, self._call, self._spine,
                     self.universe)
 

@@ -210,13 +210,16 @@ def test_seminaive_compiles_each_rule_shape_once(monkeypatch):
         return compile(*args)
 
     monkeypatch.setattr(engines, "compile", counting_compile, raising=False)
-    engines._rule_plans.cache_clear()
-    # one program decided on two inputs: the second brings new input facts
-    # but no new rule shape, so it compiles nothing
+    engines._trie_code.cache_clear()
+    # one program decided on two inputs: each focus's trie, and the trie of
+    # the rules with no focus, is compiled once; the second input brings
+    # new input facts but no new trie, so it compiles nothing
     prog = compile_tm_first_order(sample_machine("parity"), 2)
     cfg = EngineConfig(engine="seminaive")
     assert decide(prog, "ab", cfg) == "reject"
-    assert compiled
+    prep = engines._prepare(prog)
+    assert len(compiled) == len(set(compiled)) == len(prep.seeds) + sum(
+        map(len, prep.plans.values()))
     seen = len(compiled)
     assert decide(prog, "aab", cfg) == "accept"
     assert len(compiled) == seen
@@ -230,7 +233,90 @@ def test_seminaive_compiles_each_rule_shape_once(monkeypatch):
         assert semi == least_model_naive(prog).interpretation
         models.append(semi["q"].tuples)
     assert models == [{(Ind("b"),)}, {(Ind("a"),)}]
-    assert len(compiled) == seen + 1  # the q rule: facts are rows, not plans
+    assert len(compiled) == seen + 1  # e's trie: facts are rows, not plans
+
+
+def test_seminaive_shared_prefixes_agree_with_naive():
+    # q's two identical rules and the p rule they extend share the focus
+    # p and a body prefix; s has a constant in its focus atom, t a repeated
+    # variable, u an equality enumerated over the universe; l and m share
+    # their first 20 atoms, so the code of a plan focused on p is split
+    # into several functions inside their common prefix
+    prefix = ", ".join(["(p X Y)", "(e X Y)"] * 10)
+    prog, report = analyze(
+        "e a b. e b c. e c a. e c c. e c d. f b. f c. f d. "
+        "p X Y :- (e X Y). "
+        "p X Z :- (p X Y), (e Y Z). "
+        "q X Z :- (p X Y), (e Y Z), (f Z). "
+        "q X Z :- (p X Y), (e Y Z), (f Z). "
+        "s Y :- (p a Y), (f Y). "
+        "t X :- (p X X). "
+        "u X Y :- (f X), (Y = Z). "
+        "l X Y :- %s, %s. "
+        "m X Y :- %s, %s." % (prefix, ", ".join(["(p Y X)"] * 20),
+                              prefix, ", ".join(["(f Y)"] * 20)))
+    assert report.ok, report.violations
+    semi = least_model_seminaive(prog)
+    assert semi.interpretation == least_model_naive(prog).interpretation
+    assert len(semi.interpretation["l"].tuples) == 4
+    # the least budget counts every fact row and derived tuple, those of
+    # each of q's identical rules and other duplicates included
+    assert semi.iterations == 5
+    least_model_seminaive(prog, EngineConfig(step_budget=200))
+    with pytest.raises(BudgetExhaustedError):
+        least_model_seminaive(prog, EngineConfig(step_budget=199))
+
+
+def test_seminaive_plans_of_one_focus_share_their_prefixes(monkeypatch):
+    # FO parity at d=2: 160 plans of 599 steps before their emit steps
+    # (594 loops and tests, the checks of 5 loops a step of their own)
+    # merge into 16 tries of 185 such nodes, one per focus predicate (no
+    # rule lacks a focus); a focus's delta steps differ only in the checks
+    # that follow them, so each trie loops over the delta rows once
+    tries, sources = [], []
+
+    def recording_source(trie, *args, _source=engines._source):
+        tries.append(trie)
+        sources.append(_source(trie, *args))
+        return sources[-1]
+
+    monkeypatch.setattr(engines, "_source", recording_source)
+    prog = compile_tm_first_order(sample_machine("parity"), 2)
+    steps = [len(steps) - 1 for cl in prog.clauses
+             for _, steps in engines._rule_plans(
+                 engines._shape(cl, prog.signatures)[0])]
+    assert (len(steps), sum(steps)) == (160, 599)
+    engines._prepare(prog).seminaive()
+
+    def nodes(node):
+        return [step for step, children in node
+                for step in (step, *nodes(children))]
+
+    kinds = [step[0] for trie in tries for step in nodes(trie.root)]
+    assert len(tries) == 16
+    assert kinds.count("emit") == 160
+    assert len(kinds) - kinds.count("emit") == 185
+    assert kinds.count("delta") == 16
+    assert sum(src.count(" in rows:") for src in sources) == 16
+
+
+def test_seminaive_long_bodies_split_their_tries(monkeypatch):
+    # the 120 plans of a 120-atom chain, 121 steps each, share little: one
+    # trie would hold thousands of nodes, and compiling a source takes
+    # memory in proportion to its length, so a plan that finds its focus's
+    # trie full starts another
+    sizes = []
+
+    def recording_source(trie, *args, _source=engines._source):
+        sizes.append(trie.size)
+        return _source(trie, *args)
+
+    monkeypatch.setattr(engines, "_source", recording_source)
+    body = ", ".join("(e X%d X%d)" % (i, i + 1) for i in range(120))
+    prog, _ = analyze("e a b. e b c. e c a. q X0 :- %s." % body)
+    engines._prepare(prog).seminaive()
+    assert len(sizes) > 1 and sum(sizes) > 7000
+    assert max(sizes) <= engines._MAX_NODES + 121
 
 
 @pytest.mark.parametrize("n", [40, 120])
@@ -521,13 +607,25 @@ def test_new_constants_restart_a_universe_enumerating_program():
 
 def test_warm_decision_leaves_the_program_facts_alone(monkeypatch):
     # the second decision on each fast engine makes no Ind of a program
-    # constant and extends no index of edge: both are prepared once
+    # constant and extends no index of edge: both are prepared once; and
+    # no plan enumerates the universe, so the input's new constants are
+    # never appended to a copy of it
     prog, _ = analyze(" ".join("edge n%d n%d." % (i, i + 1)
                                for i in range(1000))
                       + " two X Z :- (edge X Y), (edge Y Z)."
                       " accept :- (input I S J), (edge n0 X), (two X n3).")
     edges = {(Ind("n%d" % i), Ind("n%d" % (i + 1))) for i in range(1000)}
-    made, extended = [], []
+    made, extended, runs = [], [], []
+
+    class RecordedJoins(engines._Joins):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    class RecordedEngine(engines.DemandEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
 
     def counting_ind(name, _ind=Ind):
         made.append(name)
@@ -544,9 +642,14 @@ def test_warm_decision_leaves_the_program_facts_alone(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(engines, "Ind", counting_ind)
             m.setattr(engines, "_extend", counting_extend)
+            m.setattr(engines, "_Joins", RecordedJoins)
+            m.setattr(engines, "DemandEngine", RecordedEngine)
             assert decide(prog, "ba", cfg) == "accept"
         assert not set(made) & set(prog.constants), engine
         assert made and not extended, engine
+        universe = engines._prepare(prog).universe
+        assert runs and all(run.universe is universe for run in runs), engine
+        runs.clear()
 
 
 # Random first-order programs whose rules read the input: decisions on
